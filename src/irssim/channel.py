@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -184,14 +184,28 @@ _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _uniform_open(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Deterministic uniforms on the open interval (0, 1), one per index."""
-    z = (np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * _SM64_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * _SM64_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_M2
-    z = z ^ (z >> np.uint64(31))
+def _uniform_open(seed: int, start_index: int, count: int) -> np.ndarray:
+    """Deterministic uniforms on the open interval (0, 1), one per stream index.
+
+    Works in place on one counter array and one scratch array, so a block
+    costs three arrays of its size at most.
+    """
+    z = np.arange(start_index + 1, start_index + count + 1, dtype=np.uint64)
+    z *= _SM64_GAMMA
+    z += np.uint64(seed)
+    scratch = np.empty_like(z)
+    for shift, multiplier in ((30, _SM64_M1), (27, _SM64_M2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        if multiplier is not None:
+            z *= multiplier
+    del scratch
     # top 53 bits, offset by half an ulp to avoid both endpoints
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
@@ -200,8 +214,9 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
         raise InvalidInputError(f"count must be >= 0, got {count!r}")
     if model.mode is FadingMode.DETERMINISTIC:
         return np.ones(count)
-    indices = np.arange(start_index, start_index + count)
-    return -np.log(_uniform_open(int(model.seed), indices))
+    gains = _uniform_open(int(model.seed), start_index, count)
+    np.log(gains, out=gains)
+    return np.negative(gains, out=gains)
 
 
 def sample_fading(model: FadingModel, stream_index: int) -> float:
@@ -209,20 +224,25 @@ def sample_fading(model: FadingModel, stream_index: int) -> float:
     return float(sample_fading_block(model, stream_index, 1)[0])
 
 
+def _all_positive(value: Union[float, np.ndarray]) -> bool:
+    return bool(np.all(np.greater(value, 0)))
+
+
 def conventional_rx_power(
     params: ChannelParams,
-    r: float,
-    fading_gain: float = 1.0,
+    r: Union[float, np.ndarray],
+    fading_gain: Union[float, np.ndarray] = 1.0,
     model: ConventionalModel = ConventionalModel.PAPER,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Direct-link received power in watts at distance r.
 
     PAPER form: lambda * L * P_t / (r^alpha * 16 * pi^2).
     FRIIS form: identical with lambda squared in the numerator.
+    Distances and gains may be arrays; they broadcast elementwise.
     """
-    if not (r > 0):
-        raise DegenerateGeometryError(f"link distance must be > 0, got {r!r}")
-    if not (fading_gain > 0):
+    if not _all_positive(r):
+        raise DegenerateGeometryError(f"link distance must be > 0, got {float(np.min(r))!r}")
+    if not _all_positive(fading_gain):
         raise InvalidInputError(f"fading gain must be > 0, got {fading_gain!r}")
     lam = params.wavelength
     numerator = lam if model is ConventionalModel.PAPER else lam * lam
@@ -241,19 +261,20 @@ def irs_rx_power(
     params: ChannelParams,
     panel: IrsPanel,
     geom: CascadeGeometry,
-    fading_gain: float = 1.0,
-) -> float:
+    fading_gain: Union[float, np.ndarray] = 1.0,
+) -> Union[float, np.ndarray]:
     """Cascaded received power in watts through the reflecting panel.
 
     l_x*w_y*m^2*n^2*lambda^2*G_T*G_R*G*cos(theta_t)*cos(theta_r)*A^2
     / (64*pi^3*(r1*r2)^2) * P_t, with G the element aperture gain; the
-    wavelength cancels once G is substituted. The scalar fading gain is an
+    wavelength cancels once G is substituted. The fading gain is an
     optional extension (the cascaded formula itself carries no fading term).
+    Leg lengths built from coordinate arrays give an array of powers.
     """
-    if not (geom.r1 > 0 and geom.r2 > 0):
+    if not (_all_positive(geom.r1) and _all_positive(geom.r2)):
         raise DegenerateGeometryError(
             f"cascade legs must be > 0, got r1={geom.r1!r}, r2={geom.r2!r}")
-    if not (fading_gain > 0):
+    if not _all_positive(fading_gain):
         raise InvalidInputError(f"fading gain must be > 0, got {fading_gain!r}")
     lam = params.wavelength
     g = irs_scattering_gain(panel, lam)

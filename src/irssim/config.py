@@ -108,17 +108,21 @@ def _parse_panel(section: configparser.SectionProxy) -> IrsPanel:
         raise ConfigError(f"panel.{exc}") from None
 
 
-def _parse_fading(parser: configparser.ConfigParser) -> FadingModel:
+def _parse_fading(parser: configparser.ConfigParser, seed: int) -> FadingModel:
+    """Fading model; the sweep seed drives every draw, so fading.seed may only repeat it."""
     if not parser.has_section("fading"):
         return FadingModel(mode=FadingMode.DETERMINISTIC)
     section = parser["fading"]
+    if "seed" in section:
+        fading_seed = _get(section, "seed", int)
+        if fading_seed != seed:
+            raise ConfigError(
+                f"fading.seed = {fading_seed} differs from sweep.seed = {seed}; "
+                "the sweep seed drives every draw, so drop fading.seed or make them equal")
     mode_name = _get(section, "mode", str, default="deterministic")
     if mode_name == "deterministic":
         return FadingModel(mode=FadingMode.DETERMINISTIC)
     if mode_name == "rayleigh":
-        seed = _get(section, "seed", int, default=0)
-        if seed < 0:
-            raise ConfigError(f"fading.seed must be >= 0, got {seed}")
         return FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=seed)
     raise ConfigError(f"fading.mode must be 'deterministic' or 'rayleigh', got {mode_name!r}")
 
@@ -168,8 +172,8 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
         point = _get_point(geometry, "rx_direction")
         direction = (point.x, point.y, point.z)
 
-    fading = _parse_fading(parser)
     spec = _parse_sweep(_section(parser, "sweep"))
+    fading = _parse_fading(parser, spec.seed)
     label = _get(geometry, "label", str, default="scenario") if "label" in geometry else "scenario"
 
     try:

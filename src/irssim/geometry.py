@@ -1,9 +1,17 @@
-"""3D positions and the link distances consumed by the channel models."""
+"""3D positions and the link distances consumed by the channel models.
+
+The distance functions take either :class:`Point3` values or numpy arrays of
+coordinates with a trailing axis of length 3; arrays broadcast against each
+other and against points, and give arrays of distances.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
+
+import numpy as np
 
 from irssim.errors import DegenerateGeometryError, InvalidInputError
 
@@ -26,32 +34,42 @@ class Point3:
         return Point3(self.x + dx, self.y + dy, self.z + dz)
 
 
+Points = Union[Point3, np.ndarray]
+
+
 @dataclass(frozen=True)
 class CascadeGeometry:
     """Two-hop tx -> reflector -> rx geometry with both leg lengths.
 
     Construct via :func:`cascade_distances`; both legs must be strictly
-    positive because the cascaded power model divides by (r1 * r2)^2.
+    positive because the cascaded power model divides by (r1 * r2)^2. Built
+    from coordinate arrays, r1 and r2 are the broadcast arrays of leg lengths.
     """
 
-    tx: Point3
-    irs: Point3
-    rx: Point3
-    r1: float
-    r2: float
+    tx: Points
+    irs: Points
+    rx: Points
+    r1: Union[float, np.ndarray]
+    r2: Union[float, np.ndarray]
 
 
-def distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance between two points, in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+def _coordinates(p: Points) -> np.ndarray:
+    return np.array((p.x, p.y, p.z)) if isinstance(p, Point3) else np.asarray(p, dtype=float)
 
 
-def cascade_distances(tx: Point3, irs: Point3, rx: Point3) -> CascadeGeometry:
+def distance(a: Points, b: Points) -> Union[float, np.ndarray]:
+    """Euclidean distance in meters: a float for two points, else an array."""
+    d = _coordinates(a) - _coordinates(b)
+    r = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+    return float(r) if r.ndim == 0 else r
+
+
+def cascade_distances(tx: Points, irs: Points, rx: Points) -> CascadeGeometry:
     """Build the two-hop geometry, rejecting zero-length legs."""
     r1 = distance(tx, irs)
     r2 = distance(irs, rx)
-    if r1 == 0.0:
+    if np.any(np.equal(r1, 0.0)):
         raise DegenerateGeometryError("transmitter and reflector coincide (r1 = 0)")
-    if r2 == 0.0:
+    if np.any(np.equal(r2, 0.0)):
         raise DegenerateGeometryError("reflector and receiver coincide (r2 = 0)")
     return CascadeGeometry(tx=tx, irs=irs, rx=rx, r1=r1, r2=r2)

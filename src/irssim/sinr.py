@@ -5,17 +5,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
+
+import numpy as np
 
 from irssim.channel import (
     ChannelParams,
     ConventionalModel,
     FadingModel,
     conventional_rx_power,
-    sample_fading,
+    sample_fading_block,
 )
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, distance
+from irssim.geometry import Point3, Points, distance
 
 BOLTZMANN = 1.380649e-23  # J/K
 REFERENCE_TEMPERATURE_K = 290.0
@@ -80,26 +82,32 @@ def sinr(rx_power: float, interference: float, noise: float) -> LinkBudget:
 
 def aggregate_interference(
     interferer_set: InterfererSet,
-    rx: Point3,
+    rx: Points,
     fading: FadingModel,
     stream_base: int = 0,
     model: ConventionalModel = ConventionalModel.PAPER,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Total interference power at rx, in watts.
 
     Constant mode passes the configured scalar through; modeled mode sums the
-    direct-link received power from each interferer, with one fading draw per
-    interferer at consecutive stream indices.
+    direct-link received power from each interferer. Receiver p of an array
+    of shape (P, 3) gives element p of the result and draws one fading gain
+    per interferer j at stream index ``stream_base + p * n + j`` (n
+    interferers); a single receiver is p = 0.
     """
     if interferer_set.mode is InterferenceMode.CONSTANT_POWER:
         return interferer_set.constant_power
+    single = isinstance(rx, Point3)
+    receivers = 1 if single else len(rx)
+    count = len(interferer_set.interferers)
+    gains = sample_fading_block(fading, stream_base, receivers * count).reshape(receivers, count)
     total = 0.0
     for offset, (params, position) in enumerate(interferer_set.interferers):
         r = distance(position, rx)
-        if r == 0.0:
+        if np.any(np.equal(r, 0.0)):
             raise DegenerateGeometryError(
                 f"interferer {offset} at {position} coincides with the receiver")
-        gain = sample_fading(fading, stream_base + offset)
+        gain = float(gains[0, offset]) if single else gains[:, offset]
         total += conventional_rx_power(params, r, gain, model)
     return total
 

@@ -1,19 +1,23 @@
 """Scenario definition and the sweep / Monte-Carlo engine.
 
-A sweep evaluates the downlink at a uniform grid of distances, drawing a
-configurable number of fading realizations per grid point. Every random
-draw is a pure function of (seed, point_index, trial_index), so results are
-identical across runs and across serial or parallel evaluation.
+Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
+statistics) is one call of the array kernel :func:`_evaluate`, which scores K
+reflector positions against P receivers over T fading trials. Every random
+draw is a pure function of (seed, stream index): trial t at receiver p uses
+index p*T + t, and interferer j at receiver p uses
+``_INTERFERENCE_STREAM_BASE + p*n + j`` for n interferers, so every reflector
+position sees the same draws (common random numbers). The kernel walks the
+receivers in chunks sized by memory; a chunk never splits one receiver's
+trials, so results are bit-identical at any chunk size.
 """
 
 from __future__ import annotations
 
-import datetime
 import enum
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +38,10 @@ from irssim.sinr import InterfererSet, aggregate_interference
 # interference fading draws live in their own half of the stream space so
 # they can never collide with signal draws
 _INTERFERENCE_STREAM_BASE = 1 << 62
+
+# elements of the (K, P, T) work block the kernel holds at once (512 KiB);
+# a receiver whose K*T trials exceed it gets a chunk of its own
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class LinkMode(enum.Enum):
@@ -75,12 +83,12 @@ class Scenario:
         if not (norm > 0 and math.isfinite(norm)):
             raise InvalidInputError(f"rx_direction must be nonzero, got {self.rx_direction!r}")
 
-    def receiver_at(self, x: float) -> Point3:
-        """Receiver position for swept distance x along the placement ray."""
+    def receivers_at(self, xs: Sequence[float]) -> np.ndarray:
+        """Receiver positions, shape (len(xs), 3), at swept distances xs along the ray."""
         origin = self.irs if self.mode is LinkMode.IRS_ASSISTED else self.tx
         norm = math.sqrt(sum(c * c for c in self.rx_direction))
-        ux, uy, uz = (c / norm for c in self.rx_direction)
-        return Point3(origin.x + x * ux, origin.y + x * uy, origin.z + x * uz)
+        unit = np.array([c / norm for c in self.rx_direction])
+        return _as_array([origin]) + np.asarray(xs, dtype=float)[:, None] * unit
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,8 @@ class SweepSpec:
             raise InvalidInputError(f"sweep steps must be >= 2, got {self.steps!r}")
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials!r}")
+        if not (0 <= self.seed < 2 ** 64):
+            raise InvalidInputError(f"seed must lie in [0, 2**64), got {self.seed!r}")
 
     def grid(self) -> List[float]:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -149,58 +159,95 @@ class PlacementReport:
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
-def _deterministic_rx_power(scenario: Scenario, rx: Point3) -> float:
-    """Unit-fading received power at rx for the scenario's link mode."""
+class _LinkStats(NamedTuple):
+    """Per (reflector position, receiver) statistics over the fading trials."""
+
+    power: np.ndarray  # (K, P) mean received power, W
+    sinr_db: np.ndarray  # (K, P) mean of the per-trial SINR in dB
+    sinr_db_stddev: np.ndarray  # (K, P) population stddev of the per-trial SINR in dB
+    percentiles: np.ndarray  # (Q, K, P) per-trial SINR percentiles in dB
+
+
+def _as_array(points: Sequence[Point3]) -> np.ndarray:
+    """Coordinates of the points, shape (len(points), 3)."""
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
+
+
+def _signal_power(scenario: Scenario, irs: Optional[np.ndarray], rx: np.ndarray) -> np.ndarray:
+    """Unit-fading received power, shape (K, P); conventional mode has K = 1."""
     if scenario.mode is LinkMode.IRS_ASSISTED:
-        geom = cascade_distances(scenario.tx, scenario.irs, rx)
+        geom = cascade_distances(scenario.tx, irs[:, None, :], rx)
         return irs_rx_power(scenario.channel, scenario.panel, geom)
     r = distance(scenario.tx, rx)
-    return conventional_rx_power(
-        scenario.channel, r, 1.0, scenario.conventional_model)
+    return conventional_rx_power(scenario.channel, r, 1.0, scenario.conventional_model)[None, :]
 
 
-def _point_fading(scenario: Scenario, seed: int, point_index: int, trials: int) -> np.ndarray:
-    model = scenario.fading
-    if model.is_random:
-        model = replace(model, seed=seed)
-    return sample_fading_block(model, point_index * trials, trials)
+def _evaluate(
+    scenario: Scenario,
+    irs: Optional[np.ndarray],
+    rx: np.ndarray,
+    trials: int,
+    seed: int,
+    where: Callable[[int, int], str],
+    percentiles: Sequence[float] = (),
+) -> _LinkStats:
+    """Link statistics of K reflector positions against P receivers.
 
-
-def _interference_at(scenario: Scenario, rx: Point3, seed: int, point_index: int) -> float:
+    ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
+    has shape (P, 3). Each pair is scored over ``trials`` fading draws seeded
+    by ``seed``; deterministic fading evaluates one trial, since all are
+    identical. A degenerate pair is reported as ``where(k, p)``.
+    """
     fading = scenario.fading
     if fading.is_random:
         fading = replace(fading, seed=seed)
-    return aggregate_interference(
-        scenario.interference, rx, fading,
-        stream_base=_INTERFERENCE_STREAM_BASE + point_index * (len(scenario.interference.interferers) or 1),
-        model=scenario.conventional_model)
-
-
-def _evaluate_point(scenario: Scenario, spec: SweepSpec, point_index: int, x: float) -> SweepRow:
+    else:
+        trials = 1
     try:
-        rx = scenario.receiver_at(x)
-        base_power = _deterministic_rx_power(scenario, rx)
-        interference = _interference_at(scenario, rx, spec.seed, point_index)
-    except DegenerateGeometryError as exc:
-        raise DegenerateGeometryError(f"sweep point x={x!r}: {exc}") from exc
-    denominator = interference + scenario.channel.noise_power
-    if not scenario.fading.is_random:
-        # all trials are identical; keep the stddev an exact zero
-        return SweepRow(
-            x=x,
-            rx_power_dbm=watts_to_dbm(base_power),
-            sinr_db=10.0 * math.log10(base_power / denominator),
-            sinr_db_stddev=0.0,
-        )
-    gains = _point_fading(scenario, spec.seed, point_index, spec.trials)
-    rx_powers = base_power * gains
-    sinr_db = 10.0 * np.log10(rx_powers / denominator)
-    return SweepRow(
-        x=x,
-        rx_power_dbm=watts_to_dbm(float(rx_powers.mean())),
-        sinr_db=float(sinr_db.mean()),
-        sinr_db_stddev=float(sinr_db.std()) if spec.trials > 1 else 0.0,
+        signal = _signal_power(scenario, irs, rx)
+        interference = aggregate_interference(
+            scenario.interference, rx, fading,
+            stream_base=_INTERFERENCE_STREAM_BASE, model=scenario.conventional_model)
+    except DegenerateGeometryError:
+        # rare path: retry pair by pair to name the first offending one
+        for k, p in itertools.product(range(1 if irs is None else len(irs)), range(len(rx))):
+            try:
+                _signal_power(scenario, None if irs is None else irs[k:k + 1], rx[p:p + 1])
+                aggregate_interference(scenario.interference, rx[p:p + 1], FadingModel())
+            except DegenerateGeometryError as exc:
+                raise DegenerateGeometryError(f"{where(k, p)}: {exc}") from exc
+        raise
+    denominator = np.broadcast_to(interference + scenario.channel.noise_power, (len(rx),))
+
+    k_count, p_count = signal.shape
+    step = max(1, _CHUNK_ELEMENTS // (k_count * trials))
+    work = np.empty(k_count * min(step, p_count) * trials)
+    stats = _LinkStats(
+        power=np.empty((k_count, p_count)),
+        sinr_db=np.empty((k_count, p_count)),
+        sinr_db_stddev=np.empty((k_count, p_count)),
+        percentiles=np.empty((len(percentiles), k_count, p_count)),
     )
+    for first in range(0, p_count, step):
+        chunk = slice(first, min(first + step, p_count))
+        n = chunk.stop - first
+        gains = sample_fading_block(fading, first * trials, n * trials).reshape(n, trials)
+        block = work[:k_count * n * trials].reshape(k_count, n, trials)
+        np.multiply(signal[:, chunk, None], gains, out=block)
+        block.mean(axis=-1, out=stats.power[:, chunk])
+        np.divide(block, denominator[chunk, None], out=block)
+        np.log10(block, out=block)
+        np.multiply(block, 10.0, out=block)
+        mean_db = block.mean(axis=-1, out=stats.sinr_db[:, chunk])
+        if len(percentiles):
+            stats.percentiles[:, :, chunk] = np.percentile(block, percentiles, axis=-1)
+        # population stddev, step for step as numpy.std, without its temporary
+        np.subtract(block, mean_db[:, :, None], out=block)
+        np.square(block, out=block)
+        spread = block.sum(axis=-1, out=stats.sinr_db_stddev[:, chunk])
+        np.divide(spread, trials, out=spread)
+        np.sqrt(spread, out=spread)
+    return stats
 
 
 def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
@@ -212,35 +259,34 @@ def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
         "fading": scenario.fading.mode.value,
         "interference_mode": scenario.interference.mode.value,
         "assumptions": list(scenario.assumptions),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 
-def run_distance_sweep(
-    scenario: Scenario,
-    spec: SweepSpec,
-    parallel: bool = False,
-) -> SweepResult:
+def _irs_of(scenario: Scenario) -> Optional[np.ndarray]:
+    return _as_array([scenario.irs]) if scenario.mode is LinkMode.IRS_ASSISTED else None
+
+
+def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     """Sweep the receiver distance and record mean SINR per grid point.
 
     The swept distance is the reflector-to-receiver leg in IRS mode and the
     transmitter-to-receiver distance otherwise; output rows are ordered by
-    distance regardless of evaluation order.
+    distance.
     """
     grid = spec.grid()
     if grid[0] <= 0:
         raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(
-                lambda ix: _evaluate_point(scenario, spec, ix[0], ix[1]),
-                enumerate(grid)))
-    else:
-        rows = [_evaluate_point(scenario, spec, i, x) for i, x in enumerate(grid)]
+    stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
+                      spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}")
+    rows = tuple(
+        SweepRow(x=x, rx_power_dbm=watts_to_dbm(power), sinr_db=mean, sinr_db_stddev=stddev)
+        for x, power, mean, stddev in zip(
+            grid, stats.power[0].tolist(), stats.sinr_db[0].tolist(),
+            stats.sinr_db_stddev[0].tolist()))
     return SweepResult(
         scenario_label=scenario.label,
         variable_name="distance_m",
-        rows=tuple(rows),
+        rows=rows,
         metadata=_base_metadata(scenario, spec),
     )
 
@@ -249,7 +295,6 @@ def run_angle_sweep(
     scenario: Scenario,
     angle_pairs: Sequence[Tuple[float, float]],
     spec: SweepSpec,
-    parallel: bool = False,
 ) -> List[SweepResult]:
     """One distance sweep per (theta_t, theta_r) pair, sharing fading draws.
 
@@ -268,7 +313,7 @@ def run_angle_sweep(
             panel=scenario.panel.with_angles(theta_t, theta_r),
             label=f"{scenario.label} theta_t={theta_t:g} theta_r={theta_r:g}",
         )
-        results.append(run_distance_sweep(variant, spec, parallel=parallel))
+        results.append(run_distance_sweep(variant, spec))
     return results
 
 
@@ -281,30 +326,14 @@ def monte_carlo_stats(
     """Fading statistics of the link to a fixed receiver position."""
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
-    base_power = _deterministic_rx_power(scenario, point)
-    interference = _interference_at(scenario, point, seed, 0)
-    denominator = interference + scenario.channel.noise_power
-    if not scenario.fading.is_random:
-        value = 10.0 * math.log10(base_power / denominator)
-        return MonteCarloStats(
-            mean_sinr_db=value,
-            stddev_sinr_db=0.0,
-            p5_sinr_db=value,
-            p95_sinr_db=value,
-            mean_rx_power_w=base_power,
-            trials=trials,
-            seed=seed,
-        )
-    model = replace(scenario.fading, seed=seed)
-    gains = sample_fading_block(model, 0, trials)
-    rx_powers = base_power * gains
-    sinr_db = 10.0 * np.log10(rx_powers / denominator)
+    stats = _evaluate(scenario, _irs_of(scenario), _as_array([point]), trials, seed,
+                      where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
     return MonteCarloStats(
-        mean_sinr_db=float(sinr_db.mean()),
-        stddev_sinr_db=float(sinr_db.std()),
-        p5_sinr_db=float(np.percentile(sinr_db, 5)),
-        p95_sinr_db=float(np.percentile(sinr_db, 95)),
-        mean_rx_power_w=float(rx_powers.mean()),
+        mean_sinr_db=float(stats.sinr_db[0, 0]),
+        stddev_sinr_db=float(stats.sinr_db_stddev[0, 0]),
+        p5_sinr_db=float(stats.percentiles[0, 0, 0]),
+        p95_sinr_db=float(stats.percentiles[1, 0, 0]),
+        mean_rx_power_w=float(stats.power[0, 0]),
         trials=trials,
         seed=seed,
     )
@@ -325,28 +354,18 @@ def compare_placement(
         raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
     if not irs_positions or not rx_positions:
         raise InvalidInputError("placement comparison needs >= 1 IRS and >= 1 rx position")
-    entries = []
-    for irs in irs_positions:
-        candidate = replace(scenario, irs=irs)
-        per_rx = []
-        for rx_index, rx in enumerate(rx_positions):
-            try:
-                base_power = _deterministic_rx_power(candidate, rx)
-            except DegenerateGeometryError as exc:
-                raise DegenerateGeometryError(
-                    f"placement (irs={irs}, rx={rx}): {exc}") from exc
-            interference = _interference_at(candidate, rx, spec.seed, rx_index)
-            gains = _point_fading(candidate, spec.seed, rx_index, spec.trials)
-            sinr_db = 10.0 * np.log10(
-                base_power * gains / (interference + scenario.channel.noise_power))
-            per_rx.append(float(sinr_db.mean()))
-        entries.append(PlacementEntry(
+    stats = _evaluate(
+        scenario, _as_array(irs_positions), _as_array(rx_positions), spec.trials, spec.seed,
+        where=lambda k, p: f"placement (irs={irs_positions[k]}, rx={rx_positions[p]})")
+    entries = [
+        PlacementEntry(
             irs_position=irs,
             per_rx_sinr_db=tuple(per_rx),
             min_sinr_db=min(per_rx),
             mean_sinr_db=sum(per_rx) / len(per_rx),
             max_sinr_db=max(per_rx),
-        ))
+        )
+        for irs, per_rx in zip(irs_positions, stats.sinr_db.tolist())]
     entries.sort(key=lambda e: e.min_sinr_db, reverse=True)
     return PlacementReport(
         entries=tuple(entries),

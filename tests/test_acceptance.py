@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from irssim import (
     ChannelParams,
@@ -21,17 +22,21 @@ from irssim import (
     InvalidInputError,
     IrsPanel,
     Point3,
+    Scenario,
     SweepSpec,
     build_preset,
     cascade_distances,
     compare_placement,
     conventional_rx_power,
+    distance,
     irs_rx_power,
     parse_scenario,
     run_distance_sweep,
     sample_fading_block,
 )
-from irssim.channel import SPEED_OF_LIGHT, FadingMode
+from irssim import sweep as sweep_engine
+from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
+from irssim.sweep import LinkMode
 
 
 def report(criterion: int, message: str) -> None:
@@ -61,31 +66,41 @@ def random_panel(rng):
     )
 
 
+def oracle_conventional_power(params, r, fading=1.0, model=ConventionalModel.PAPER):
+    """Direct-link power as printed, with lambda squared in the FRIIS variant."""
+    lam = SPEED_OF_LIGHT / params.carrier_frequency
+    numerator = lam if model is ConventionalModel.PAPER else lam ** 2
+    return (numerator * fading * params.tx_power
+            / (r ** params.path_loss_exponent * 16.0 * math.pi ** 2))
+
+
+def oracle_irs_power(params, panel, r1, r2):
+    """Cascaded power as printed, with the element aperture gain G spelled out."""
+    lam = SPEED_OF_LIGHT / params.carrier_frequency
+    g = 4.0 * math.pi * panel.element_length * panel.element_width / lam ** 2
+    return (panel.element_length * panel.element_width
+            * panel.tx_side_elements ** 2 * panel.rx_side_elements ** 2
+            * lam ** 2 * panel.tx_gain * panel.rx_gain * g
+            * math.cos(math.radians(panel.theta_t))
+            * math.cos(math.radians(panel.theta_r))
+            * panel.reflection_coefficient ** 2
+            / (64.0 * math.pi ** 3 * (r1 * r2) ** 2)
+            * params.tx_power)
+
+
 def test_criterion_1_formula_oracles():
     rng = random.Random(20240824)
     for _ in range(25):
         params = random_channel(rng)
         r = rng.uniform(0.5, 500.0)
         fading = rng.uniform(0.01, 10.0)
-        lam = SPEED_OF_LIGHT / params.carrier_frequency
-        expected = (lam * fading * params.tx_power
-                    / (r ** params.path_loss_exponent * 16.0 * math.pi ** 2))
         got = conventional_rx_power(params, r, fading)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(oracle_conventional_power(params, r, fading), rel=1e-12)
 
         panel = random_panel(rng)
         r1, r2 = rng.uniform(1.0, 200.0), rng.uniform(1.0, 200.0)
         geom = cascade_distances(
             Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0))
-        g = 4.0 * math.pi * panel.element_length * panel.element_width / lam ** 2
-        as_printed = (panel.element_length * panel.element_width
-                      * panel.tx_side_elements ** 2 * panel.rx_side_elements ** 2
-                      * lam ** 2 * panel.tx_gain * panel.rx_gain * g
-                      * math.cos(math.radians(panel.theta_t))
-                      * math.cos(math.radians(panel.theta_r))
-                      * panel.reflection_coefficient ** 2
-                      / (64.0 * math.pi ** 3 * (r1 * r2) ** 2)
-                      * params.tx_power)
         substituted = ((panel.element_length * panel.element_width
                         * panel.tx_side_elements * panel.rx_side_elements) ** 2
                        * panel.tx_gain * panel.rx_gain
@@ -95,9 +110,70 @@ def test_criterion_1_formula_oracles():
                        * params.tx_power
                        / (16.0 * math.pi ** 2 * (r1 * r2) ** 2))
         got_irs = irs_rx_power(params, panel, geom)
-        assert got_irs == pytest.approx(as_printed, rel=1e-12)
+        assert got_irs == pytest.approx(oracle_irs_power(params, panel, r1, r2), rel=1e-12)
         assert got_irs == pytest.approx(substituted, rel=1e-12)
     report(1, "both power formulas match independent evaluations on 25 random sets")
+
+
+coordinate = st.floats(min_value=-200.0, max_value=200.0)
+position = st.tuples(coordinate, coordinate, coordinate).map(lambda c: Point3(*c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), link_irs=st.booleans(), rayleigh=st.booleans(),
+       friis=st.booleans(), tx=position,
+       irs=st.lists(position, min_size=1, max_size=4),
+       rx=st.lists(position, min_size=1, max_size=5),
+       interferers=st.lists(position, min_size=0, max_size=3),
+       trials=st.integers(1, 6))
+def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, tx, irs, rx,
+                                              interferers, trials):
+    """The kernel's (K, P) statistics equal a per-pair, per-trial scalar evaluation."""
+    points = [tx, *irs, *rx, *interferers]
+    assume(all(distance(a, b) > 0.5 for i, a in enumerate(points) for b in points[i + 1:]))
+    rng = random.Random(seed)
+    params, panel = random_channel(rng), random_panel(rng)
+    model = ConventionalModel.FRIIS if friis else ConventionalModel.PAPER
+    fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL if rayleigh
+                         else FadingMode.DETERMINISTIC, seed=seed if rayleigh else None)
+    interferer_params = [random_channel(rng) for _ in interferers]
+    scenario = Scenario(
+        channel=params, fading=fading,
+        interference=InterfererSet.modeled(list(zip(interferer_params, interferers))),
+        mode=LinkMode.IRS_ASSISTED if link_irs else LinkMode.CONVENTIONAL, tx=tx,
+        panel=panel if link_irs else None, irs=irs[0] if link_irs else None,
+        conventional_model=model)
+    irs = irs if link_irs else [None]
+    stats = sweep_engine._evaluate(
+        scenario, sweep_engine._as_array(irs) if link_irs else None,
+        sweep_engine._as_array(rx), trials, seed, where=lambda k, p: "")
+
+    draws = trials if rayleigh else 1
+    n = len(interferers)
+    for k, reflector in enumerate(irs):
+        for p, receiver in enumerate(rx):
+            if link_irs:
+                base = oracle_irs_power(params, panel, distance(tx, reflector),
+                                        distance(reflector, receiver))
+            else:
+                base = oracle_conventional_power(params, distance(tx, receiver), model=model)
+            interference = sum(
+                oracle_conventional_power(
+                    ip, distance(position, receiver),
+                    float(sample_fading_block(
+                        fading, sweep_engine._INTERFERENCE_STREAM_BASE + p * n + j, 1)[0]),
+                    model)
+                for j, (ip, position) in enumerate(zip(interferer_params, interferers)))
+            gains = sample_fading_block(fading, p * draws, draws)
+            powers = [base * float(g) for g in gains]
+            sinr_db = [10.0 * math.log10(w / (interference + params.noise_power))
+                       for w in powers]
+            mean_db = sum(sinr_db) / draws
+            assert stats.power[k, p] == pytest.approx(sum(powers) / draws, rel=1e-12)
+            assert stats.sinr_db[k, p] == pytest.approx(mean_db, rel=1e-12, abs=1e-12)
+            assert stats.sinr_db_stddev[k, p] == pytest.approx(
+                math.sqrt(sum((v - mean_db) ** 2 for v in sinr_db) / draws),
+                rel=1e-12, abs=1e-12)
 
 
 def test_criterion_2_wavelength_cancellation():
@@ -208,13 +284,7 @@ def test_criterion_7_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-
-    scenario, spec = build_preset("fig2d", fading_mode=FadingMode.RAYLEIGH_EXPONENTIAL)
-    spec = dataclasses.replace(spec, seed=42, trials=100)
-    serial = run_distance_sweep(scenario, spec, parallel=False)
-    threaded = run_distance_sweep(scenario, spec, parallel=True)
-    assert serial.rows == threaded.rows
-    report(7, "repeated CLI runs byte-identical; parallel and serial rows agree")
+    report(7, "repeated CLI runs byte-identical")
 
 
 def test_criterion_8_placement_comparison():

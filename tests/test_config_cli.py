@@ -95,6 +95,16 @@ class TestParseScenario:
         assert scenario.fading.seed == 42
         assert spec.trials == 10
 
+    def test_fading_seed_must_repeat_sweep_seed(self):
+        with pytest.raises(ConfigError, match=r"fading\.seed.*sweep\.seed"):
+            parse_scenario(IRS_CONFIG.replace("[fading]\nmode = rayleigh\nseed = 42",
+                                              "[fading]\nmode = rayleigh\nseed = 7"))
+        # equal seeds, or no fading seed at all, are one seed
+        assert parse_scenario(IRS_CONFIG)[0].fading.seed == 42
+        scenario, spec = parse_scenario(IRS_CONFIG.replace("mode = rayleigh\nseed = 42\n",
+                                                           "mode = rayleigh\n"))
+        assert scenario.fading.seed == spec.seed == 42
+
     def test_theta_boundary_rejected(self):
         bad = IRS_CONFIG.replace("theta_t = 60", "theta_t = 90")
         with pytest.raises(ConfigError, match=r"theta_t must lie in \[0, 90\)"):
@@ -263,6 +273,19 @@ class TestCli:
         # friis carries one extra wavelength factor (about -19.7 dB at 28 GHz)
         lam_db = 10.0 * math.log10(299792458.0 / 28e9)
         assert friis["rows"][0][2] - paper["rows"][0][2] == pytest.approx(lam_db, abs=1e-9)
+
+    def test_negative_seed_is_a_diagnostic(self, capsys):
+        assert main(["sweep", "--preset", "fig1", "--fading", "rayleigh", "--seed", "-1"]) == 1
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_rayleigh_json_byte_identical(self, tmp_path):
+        outputs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["sweep", "--preset", "fig2b", "--fading", "rayleigh", "--seed", "42",
+                         "--trials", "100", "--format", "json", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_flag_exits_nonzero(self):
         proc = subprocess.run(

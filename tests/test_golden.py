@@ -1,0 +1,88 @@
+"""Pinned outputs: the engine must reproduce these files byte for byte.
+
+The files under tests/golden/ were written by the scalar per-point engine that
+preceded the array kernel: every preset at its default 96-step grid, both
+deterministic and with Rayleigh fading (seed 42, 100 trials), and a small
+placement ranking with two modeled interferers. Regenerate them only with a
+change that is meant to alter results, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from irssim import (
+    PRESET_NAMES,
+    ChannelParams,
+    FadingModel,
+    InterfererSet,
+    Point3,
+    SweepSpec,
+    build_preset,
+    compare_placement,
+    dbm_to_watts,
+)
+from irssim.channel import FadingMode
+from irssim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RAYLEIGH_FLAGS = ("--fading", "rayleigh", "--seed", "42", "--trials", "100")
+SWEEPS = {
+    **{f"{name}_deterministic.csv": ("--preset", name) for name in PRESET_NAMES},
+    **{f"{name}_rayleigh_seed42_trials100.csv": ("--preset", name) + RAYLEIGH_FLAGS
+       for name in PRESET_NAMES},
+}
+PLACEMENT = "placement_fig2b_seed7.csv"
+
+
+def sweep_csv(args) -> str:
+    """What `irssim sweep ARGS` writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["sweep", *args]) == 0
+    return out.getvalue()
+
+
+def placement_csv() -> str:
+    """IRS ranking on fig2b: 4x3 candidates, 6 receivers, 20 trials, two interferers."""
+    scenario, _ = build_preset("fig2b")
+    interferer = ChannelParams(carrier_frequency=28e9, tx_power=dbm_to_watts(30.0),
+                               path_loss_exponent=2.0, noise_power=1e-12)
+    scenario = dataclasses.replace(
+        scenario,
+        fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7),
+        interference=InterfererSet.modeled([
+            (interferer, Point3(200.0, 0.0, 10.0)),
+            (interferer, Point3(-120.0, 90.0, 10.0)),
+        ]))
+    candidates = [Point3(x, y, 10.0) for x in (20.0, 45.0, 70.0, 95.0) for y in (-30.0, 0.0, 30.0)]
+    receivers = [Point3(10.0 * k, 7.0 * (k - 3), 1.5) for k in range(1, 7)]
+    spec = SweepSpec(start=1.0, stop=2.0, steps=2, trials=20, seed=7)
+    report = compare_placement(scenario, candidates, receivers, spec)
+    lines = ["irs_x,irs_y,irs_z,min_sinr_db," + ",".join(f"rx{k}" for k in range(len(receivers)))]
+    for entry in report.entries:
+        p = entry.irs_position
+        values = [p.x, p.y, p.z, entry.min_sinr_db, *entry.per_rx_sinr_db]
+        lines.append(",".join(f"{v:.6f}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(name):
+    assert sweep_csv(SWEEPS[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_placement_matches_golden():
+    assert placement_csv().encode("utf-8") == (GOLDEN / PLACEMENT).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, args in SWEEPS.items():
+        (GOLDEN / name).write_text(sweep_csv(args), encoding="utf-8", newline="\n")
+    (GOLDEN / PLACEMENT).write_text(placement_csv(), encoding="utf-8", newline="\n")

@@ -23,6 +23,7 @@ from irssim import (
     run_angle_sweep,
     run_distance_sweep,
 )
+from irssim import sweep as sweep_module
 from irssim.channel import FadingMode
 from irssim.sweep import LinkMode
 
@@ -91,6 +92,9 @@ class TestSweepSpec:
             SweepSpec(start=1.0, stop=2.0, steps=1)
         with pytest.raises(InvalidInputError):
             SweepSpec(start=1.0, stop=2.0, steps=5, trials=0)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(InvalidInputError, match="seed"):
+                SweepSpec(start=1.0, stop=2.0, steps=5, seed=seed)
 
 
 class TestScenario:
@@ -156,14 +160,6 @@ class TestDistanceSweep:
         second = run_distance_sweep(scenario, spec)
         assert first.rows == second.rows
 
-    def test_parallel_matches_serial(self):
-        scenario = irs_scenario(
-            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7))
-        spec = SweepSpec(start=5.0, stop=95.0, steps=16, trials=20, seed=7)
-        serial = run_distance_sweep(scenario, spec, parallel=False)
-        threaded = run_distance_sweep(scenario, spec, parallel=True)
-        assert serial.rows == threaded.rows
-
     def test_slope_equals_negative_alpha(self):
         for alpha in (2.0, 3.5):
             result = run_distance_sweep(
@@ -190,6 +186,35 @@ class TestDistanceSweep:
         assert result.metadata["trials"] == 3
         assert result.metadata["mode"] == "conventional"
         assert result.metadata["conventional_model"] == "paper"
+
+
+class TestChunkInvariance:
+    """The kernel's memory chunking never changes a single bit of the output."""
+
+    fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7)
+
+    def outputs(self, monkeypatch, elements):
+        monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", elements)
+        interferers = InterfererSet.modeled([
+            (make_channel(), Point3(120, 0, 10)),
+            (make_channel(), Point3(-40, 60, 10)),
+        ])
+        scenario = dataclasses.replace(
+            irs_scenario(fading=self.fading), interference=interferers)
+        sweep = run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=16,
+                                                       trials=20, seed=7))
+        placement = compare_placement(
+            scenario,
+            [Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)],
+            [Point3(10.0 * k, 3.0 * k - 12, 1.5) for k in range(1, 9)],
+            SweepSpec(start=1.0, stop=2.0, steps=2, trials=30, seed=7))
+        return sweep.rows, placement.entries
+
+    # 1 element: one receiver per chunk; 700: placement chunks of 3, 3 and 2
+    # receivers (6 positions x 30 trials each); 10**9: the whole grid at once
+    @pytest.mark.parametrize("elements", [1, 700])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, elements):
+        assert self.outputs(monkeypatch, elements) == self.outputs(monkeypatch, 10**9)
 
 
 class TestAngleSweep:
