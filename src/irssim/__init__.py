@@ -1,26 +1,22 @@
 """Link-budget and SINR simulator for conventional and IRS-assisted small-cell downlinks."""
 
 from irssim.errors import ConfigError, DegenerateGeometryError, InvalidInputError
-from irssim.geometry import CascadeGeometry, Point3, cascade_distances, distance
+from irssim.geometry import Point3, cascade_distances, distance
 from irssim.channel import (
     ChannelParams,
     FadingModel,
     IrsPanel,
     conventional_rx_power,
-    db_from_ratio,
     dbm_to_watts,
     irs_rx_power,
     irs_scattering_gain,
-    sample_fading,
     sample_fading_block,
     watts_to_dbm,
     wavelength,
 )
 from irssim.sinr import (
     InterfererSet,
-    LinkBudget,
     aggregate_interference,
-    sinr,
     thermal_noise_watts,
 )
 from irssim.sweep import (
@@ -40,10 +36,9 @@ from irssim.presets import PRESET_NAMES, build_preset
 from irssim.config import parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "CascadeGeometry",
     "ChannelParams",
     "ConfigError",
     "DegenerateGeometryError",
@@ -51,7 +46,6 @@ __all__ = [
     "InterfererSet",
     "InvalidInputError",
     "IrsPanel",
-    "LinkBudget",
     "MonteCarloStats",
     "PlacementEntry",
     "PlacementReport",
@@ -66,7 +60,6 @@ __all__ = [
     "cascade_distances",
     "compare_placement",
     "conventional_rx_power",
-    "db_from_ratio",
     "dbm_to_watts",
     "distance",
     "emit_results",
@@ -76,9 +69,7 @@ __all__ = [
     "parse_scenario",
     "run_angle_sweep",
     "run_distance_sweep",
-    "sample_fading",
     "sample_fading_block",
-    "sinr",
     "thermal_noise_watts",
     "watts_to_dbm",
     "wavelength",

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import CascadeGeometry
+from irssim.geometry import Length
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -39,7 +39,7 @@ class ConventionalModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Carrier, transmit power, path-loss exponent, noise and interference.
+    """Carrier, transmit power, path-loss exponent and noise.
 
     All powers in watts, frequency in hertz, path_loss_exponent dimensionless.
     """
@@ -48,7 +48,6 @@ class ChannelParams:
     tx_power: float
     path_loss_exponent: float
     noise_power: float
-    interference_power: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.carrier_frequency > 0):
@@ -61,9 +60,6 @@ class ChannelParams:
                 f"path_loss_exponent must be >= 0, got {self.path_loss_exponent!r}")
         if not (self.noise_power > 0):
             raise InvalidInputError(f"noise_power must be > 0, got {self.noise_power!r}")
-        if not (self.interference_power >= 0):
-            raise InvalidInputError(
-                f"interference_power must be >= 0, got {self.interference_power!r}")
 
     @property
     def wavelength(self) -> float:
@@ -111,11 +107,6 @@ class IrsPanel:
             if not (0 <= angle < 90):
                 raise InvalidInputError(f"{name} must lie in [0, 90), got {angle!r}")
 
-    def with_angles(self, theta_t: float, theta_r: float) -> "IrsPanel":
-        from dataclasses import replace
-
-        return replace(self, theta_t=theta_t, theta_r=theta_r)
-
 
 @dataclass(frozen=True)
 class FadingModel:
@@ -150,31 +141,8 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def db_from_ratio(ratio: float) -> float:
-    if not (ratio > 0):
-        raise InvalidInputError(f"ratio must be > 0 for dB conversion, got {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
 def ratio_from_db(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def convert_power(value: float, src: str, dst: str) -> float:
-    """Convert between 'watts', 'dbm' and 'db' (relative ratio <-> dB)."""
-    units = {"watts", "dbm", "db"}
-    if src not in units or dst not in units:
-        raise InvalidInputError(f"units must be one of {sorted(units)}, got {src!r}->{dst!r}")
-    if src == dst:
-        return value
-    if (src, dst) == ("watts", "dbm"):
-        return watts_to_dbm(value)
-    if (src, dst) == ("dbm", "watts"):
-        return dbm_to_watts(value)
-    if (src, dst) == ("watts", "db") or (src, dst) == ("dbm", "db"):
-        raise InvalidInputError("dB is a relative unit; convert ratios, not absolute powers")
-    # db -> absolute has no reference either
-    raise InvalidInputError("dB is a relative unit; convert ratios, not absolute powers")
 
 
 # splitmix64 finalizer; counter-based so (seed, stream_index) fully
@@ -219,18 +187,13 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
     return np.negative(gains, out=gains)
 
 
-def sample_fading(model: FadingModel, stream_index: int) -> float:
-    """One fading gain: 1.0 when deterministic, else a unit-mean exponential draw."""
-    return float(sample_fading_block(model, stream_index, 1)[0])
-
-
 def _all_positive(value: Union[float, np.ndarray]) -> bool:
     return bool(np.all(np.greater(value, 0)))
 
 
 def conventional_rx_power(
     params: ChannelParams,
-    r: Union[float, np.ndarray],
+    r: Length,
     fading_gain: Union[float, np.ndarray] = 1.0,
     model: ConventionalModel = ConventionalModel.PAPER,
 ) -> Union[float, np.ndarray]:
@@ -260,7 +223,8 @@ def irs_scattering_gain(panel: IrsPanel, lam: float) -> float:
 def irs_rx_power(
     params: ChannelParams,
     panel: IrsPanel,
-    geom: CascadeGeometry,
+    r1: Length,
+    r2: Length,
     fading_gain: Union[float, np.ndarray] = 1.0,
 ) -> Union[float, np.ndarray]:
     """Cascaded received power in watts through the reflecting panel.
@@ -269,11 +233,12 @@ def irs_rx_power(
     / (64*pi^3*(r1*r2)^2) * P_t, with G the element aperture gain; the
     wavelength cancels once G is substituted. The fading gain is an
     optional extension (the cascaded formula itself carries no fading term).
-    Leg lengths built from coordinate arrays give an array of powers.
+    Leg lengths r1 (tx to panel) and r2 (panel to rx) may be arrays; they
+    broadcast elementwise and give an array of powers.
     """
-    if not (_all_positive(geom.r1) and _all_positive(geom.r2)):
+    if not (_all_positive(r1) and _all_positive(r2)):
         raise DegenerateGeometryError(
-            f"cascade legs must be > 0, got r1={geom.r1!r}, r2={geom.r2!r}")
+            f"cascade legs must be > 0, got r1={r1!r}, r2={r2!r}")
     if not _all_positive(fading_gain):
         raise InvalidInputError(f"fading gain must be > 0, got {fading_gain!r}")
     lam = params.wavelength
@@ -286,5 +251,5 @@ def irs_rx_power(
                  * math.cos(math.radians(panel.theta_t))
                  * math.cos(math.radians(panel.theta_r))
                  * panel.reflection_coefficient ** 2)
-    denominator = 64.0 * math.pi ** 3 * (geom.r1 * geom.r2) ** 2
+    denominator = 64.0 * math.pi ** 3 * (r1 * r2) ** 2
     return numerator / denominator * params.tx_power * fading_gain

@@ -3,6 +3,8 @@
 Configs are flat INI-style documents with sections ``channel``, ``geometry``,
 ``panel``, ``fading`` and ``sweep``. Powers are given in dBm and gains in dBi
 at this boundary; everything is converted to watts and linear gain here, once.
+An unknown section or key is rejected, so a typo cannot silently fall back
+to a default.
 """
 
 from __future__ import annotations
@@ -23,6 +25,16 @@ from irssim.errors import ConfigError, InvalidInputError
 from irssim.geometry import Point3
 from irssim.sinr import InterfererSet, thermal_noise_watts
 from irssim.sweep import LinkMode, Scenario, SweepSpec
+
+_ALLOWED_KEYS = {
+    "channel": ("frequency_hz", "tx_power_dbm", "path_loss_exponent", "noise_dbm",
+                "noise_bandwidth_hz", "interference_dbm", "model"),
+    "geometry": ("mode", "label", "tx", "irs", "rx_direction"),
+    "panel": ("element_length_m", "element_width_m", "tx_side_elements", "rx_side_elements",
+              "reflection_coefficient", "tx_gain_dbi", "rx_gain_dbi", "theta_t", "theta_r"),
+    "fading": ("mode", "seed"),
+    "sweep": ("start", "stop", "steps", "trials", "seed"),
+}
 
 
 def _get(section: configparser.SectionProxy, key: str, kind=float, default=None):
@@ -64,7 +76,9 @@ def _section(parser: configparser.ConfigParser, name: str) -> configparser.Secti
     return parser[name]
 
 
-def _parse_channel(section: configparser.SectionProxy) -> Tuple[ChannelParams, ConventionalModel]:
+def _parse_channel(
+    section: configparser.SectionProxy,
+) -> Tuple[ChannelParams, ConventionalModel, InterfererSet]:
     has_noise_dbm = "noise_dbm" in section
     has_bandwidth = "noise_bandwidth_hz" in section
     if has_noise_dbm == has_bandwidth:
@@ -84,11 +98,11 @@ def _parse_channel(section: configparser.SectionProxy) -> Tuple[ChannelParams, C
             tx_power=dbm_to_watts(_get(section, "tx_power_dbm")),
             path_loss_exponent=_get(section, "path_loss_exponent"),
             noise_power=noise,
-            interference_power=dbm_to_watts(_get(section, "interference_dbm")),
         )
+        interference = InterfererSet.constant(dbm_to_watts(_get(section, "interference_dbm")))
     except InvalidInputError as exc:
         raise ConfigError(f"channel: {exc}") from None
-    return params, model
+    return params, model, interference
 
 
 def _parse_panel(section: configparser.SectionProxy) -> IrsPanel:
@@ -147,8 +161,19 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from None
+    if parser.defaults():
+        raise ConfigError("section [DEFAULT] is not supported; set each key in its own section")
+    for name in parser.sections():
+        allowed = _ALLOWED_KEYS.get(name)
+        if allowed is None:
+            raise ConfigError(
+                f"unknown section [{name}]; expected one of {', '.join(_ALLOWED_KEYS)}")
+        for key in parser[name]:
+            if key not in allowed:
+                raise ConfigError(
+                    f"unknown key {name}.{key}; [{name}] accepts {', '.join(allowed)}")
 
-    channel, model = _parse_channel(_section(parser, "channel"))
+    channel, model, interference = _parse_channel(_section(parser, "channel"))
     geometry = _section(parser, "geometry")
     mode_name = _get(geometry, "mode", str)
     if mode_name not in ("conventional", "irs"):
@@ -174,13 +199,13 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
 
     spec = _parse_sweep(_section(parser, "sweep"))
     fading = _parse_fading(parser, spec.seed)
-    label = _get(geometry, "label", str, default="scenario") if "label" in geometry else "scenario"
+    label = _get(geometry, "label", str, default="scenario")
 
     try:
         scenario = Scenario(
             channel=channel,
             fading=fading,
-            interference=InterfererSet.constant(channel.interference_power),
+            interference=interference,
             mode=mode,
             tx=tx,
             panel=panel,

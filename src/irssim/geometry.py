@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -30,46 +30,33 @@ class Point3:
             if not math.isfinite(value):
                 raise InvalidInputError(f"coordinate {name} must be finite, got {value!r}")
 
-    def translated(self, dx: float, dy: float, dz: float) -> "Point3":
-        return Point3(self.x + dx, self.y + dy, self.z + dz)
-
 
 Points = Union[Point3, np.ndarray]
-
-
-@dataclass(frozen=True)
-class CascadeGeometry:
-    """Two-hop tx -> reflector -> rx geometry with both leg lengths.
-
-    Construct via :func:`cascade_distances`; both legs must be strictly
-    positive because the cascaded power model divides by (r1 * r2)^2. Built
-    from coordinate arrays, r1 and r2 are the broadcast arrays of leg lengths.
-    """
-
-    tx: Points
-    irs: Points
-    rx: Points
-    r1: Union[float, np.ndarray]
-    r2: Union[float, np.ndarray]
+Length = Union[float, np.ndarray]
 
 
 def _coordinates(p: Points) -> np.ndarray:
     return np.array((p.x, p.y, p.z)) if isinstance(p, Point3) else np.asarray(p, dtype=float)
 
 
-def distance(a: Points, b: Points) -> Union[float, np.ndarray]:
+def distance(a: Points, b: Points) -> Length:
     """Euclidean distance in meters: a float for two points, else an array."""
     d = _coordinates(a) - _coordinates(b)
     r = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
     return float(r) if r.ndim == 0 else r
 
 
-def cascade_distances(tx: Points, irs: Points, rx: Points) -> CascadeGeometry:
-    """Build the two-hop geometry, rejecting zero-length legs."""
+def cascade_distances(tx: Points, irs: Points, rx: Points) -> Tuple[Length, Length]:
+    """Leg lengths (r1, r2) of the tx -> reflector -> rx path.
+
+    Both legs must be strictly positive because the cascaded power model
+    divides by (r1 * r2)^2. Built from coordinate arrays, r1 and r2 are the
+    broadcast arrays of leg lengths.
+    """
     r1 = distance(tx, irs)
     r2 = distance(irs, rx)
     if np.any(np.equal(r1, 0.0)):
         raise DegenerateGeometryError("transmitter and reflector coincide (r1 = 0)")
     if np.any(np.equal(r2, 0.0)):
         raise DegenerateGeometryError("reflector and receiver coincide (r2 = 0)")
-    return CascadeGeometry(tx=tx, irs=irs, rx=rx, r1=r1, r2=r2)
+    return r1, r2

@@ -55,7 +55,6 @@ def _default_channel() -> ChannelParams:
         tx_power=dbm_to_watts(30.0),
         path_loss_exponent=2.0,
         noise_power=thermal_noise_watts(100e6),
-        interference_power=0.0,
     )
 
 

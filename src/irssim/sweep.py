@@ -176,8 +176,8 @@ def _as_array(points: Sequence[Point3]) -> np.ndarray:
 def _signal_power(scenario: Scenario, irs: Optional[np.ndarray], rx: np.ndarray) -> np.ndarray:
     """Unit-fading received power, shape (K, P); conventional mode has K = 1."""
     if scenario.mode is LinkMode.IRS_ASSISTED:
-        geom = cascade_distances(scenario.tx, irs[:, None, :], rx)
-        return irs_rx_power(scenario.channel, scenario.panel, geom)
+        r1, r2 = cascade_distances(scenario.tx, irs[:, None, :], rx)
+        return irs_rx_power(scenario.channel, scenario.panel, r1, r2)
     r = distance(scenario.tx, rx)
     return conventional_rx_power(scenario.channel, r, 1.0, scenario.conventional_model)[None, :]
 
@@ -257,7 +257,7 @@ def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
         "mode": scenario.mode.value,
         "conventional_model": scenario.conventional_model.value,
         "fading": scenario.fading.mode.value,
-        "interference_mode": scenario.interference.mode.value,
+        "interference_mode": "modeled" if scenario.interference.interferers else "constant",
         "assumptions": list(scenario.assumptions),
     }
 
@@ -305,12 +305,9 @@ def run_angle_sweep(
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
     results = []
     for theta_t, theta_r in angle_pairs:
-        if not (0 <= theta_t < 90 and 0 <= theta_r < 90):
-            raise InvalidInputError(
-                f"angles must lie in [0, 90), got ({theta_t!r}, {theta_r!r})")
         variant = replace(
             scenario,
-            panel=scenario.panel.with_angles(theta_t, theta_r),
+            panel=replace(scenario.panel, theta_t=theta_t, theta_r=theta_r),
             label=f"{scenario.label} theta_t={theta_t:g} theta_r={theta_r:g}",
         )
         results.append(run_distance_sweep(variant, spec))

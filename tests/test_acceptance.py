@@ -99,7 +99,7 @@ def test_criterion_1_formula_oracles():
 
         panel = random_panel(rng)
         r1, r2 = rng.uniform(1.0, 200.0), rng.uniform(1.0, 200.0)
-        geom = cascade_distances(
+        legs = cascade_distances(
             Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0))
         substituted = ((panel.element_length * panel.element_width
                         * panel.tx_side_elements * panel.rx_side_elements) ** 2
@@ -109,7 +109,7 @@ def test_criterion_1_formula_oracles():
                        * panel.reflection_coefficient ** 2
                        * params.tx_power
                        / (16.0 * math.pi ** 2 * (r1 * r2) ** 2))
-        got_irs = irs_rx_power(params, panel, geom)
+        got_irs = irs_rx_power(params, panel, *legs)
         assert got_irs == pytest.approx(oracle_irs_power(params, panel, r1, r2), rel=1e-12)
         assert got_irs == pytest.approx(substituted, rel=1e-12)
     report(1, "both power formulas match independent evaluations on 25 random sets")
@@ -125,9 +125,10 @@ position = st.tuples(coordinate, coordinate, coordinate).map(lambda c: Point3(*c
        irs=st.lists(position, min_size=1, max_size=4),
        rx=st.lists(position, min_size=1, max_size=5),
        interferers=st.lists(position, min_size=0, max_size=3),
+       floor=st.one_of(st.just(0.0), st.floats(1e-14, 1e-10)),
        trials=st.integers(1, 6))
 def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, tx, irs, rx,
-                                              interferers, trials):
+                                              interferers, floor, trials):
     """The kernel's (K, P) statistics equal a per-pair, per-trial scalar evaluation."""
     points = [tx, *irs, *rx, *interferers]
     assume(all(distance(a, b) > 0.5 for i, a in enumerate(points) for b in points[i + 1:]))
@@ -139,7 +140,7 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
     interferer_params = [random_channel(rng) for _ in interferers]
     scenario = Scenario(
         channel=params, fading=fading,
-        interference=InterfererSet.modeled(list(zip(interferer_params, interferers))),
+        interference=InterfererSet(floor, tuple(zip(interferer_params, interferers))),
         mode=LinkMode.IRS_ASSISTED if link_irs else LinkMode.CONVENTIONAL, tx=tx,
         panel=panel if link_irs else None, irs=irs[0] if link_irs else None,
         conventional_model=model)
@@ -157,7 +158,7 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
                                         distance(reflector, receiver))
             else:
                 base = oracle_conventional_power(params, distance(tx, receiver), model=model)
-            interference = sum(
+            interference = floor + sum(
                 oracle_conventional_power(
                     ip, distance(position, receiver),
                     float(sample_fading_block(
@@ -179,13 +180,13 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
 def test_criterion_2_wavelength_cancellation():
     rng = random.Random(2)
     panel = random_panel(rng)
-    geom = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(40, 0, 0))
+    legs = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(40, 0, 0))
     values = []
     for f in (1e9, 3e9, 28e9):
         params = ChannelParams(
             carrier_frequency=f, tx_power=1.0, path_loss_exponent=2.0,
             noise_power=1e-12)
-        values.append(irs_rx_power(params, panel, geom))
+        values.append(irs_rx_power(params, panel, *legs))
     assert values[1] == pytest.approx(values[0], rel=1e-12)
     assert values[2] == pytest.approx(values[0], rel=1e-12)
     report(2, "cascaded power is frequency-invariant at 1/3/28 GHz to 1e-12")
@@ -193,8 +194,8 @@ def test_criterion_2_wavelength_cancellation():
 
 def test_criterion_3_scaling_laws():
     rng = random.Random(3)
-    geom = cascade_distances(Point3(0, 0, 0), Point3(5, 0, 0), Point3(25, 0, 0))
-    geom2 = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(50, 0, 0))
+    legs = cascade_distances(Point3(0, 0, 0), Point3(5, 0, 0), Point3(25, 0, 0))
+    legs2 = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(50, 0, 0))
     for alpha in (0.0, 1.0, 2.0, 3.7):
         params = ChannelParams(
             carrier_frequency=28e9, tx_power=1.0, path_loss_exponent=alpha,
@@ -208,21 +209,21 @@ def test_criterion_3_scaling_laws():
 
     one = dataclasses.replace(base, tx_side_elements=1, rx_side_elements=1)
     many = dataclasses.replace(base, tx_side_elements=2, rx_side_elements=3)
-    assert irs_rx_power(params, many, geom) == pytest.approx(
-        36.0 * irs_rx_power(params, one, geom), rel=1e-12)
+    assert irs_rx_power(params, many, *legs) == pytest.approx(
+        36.0 * irs_rx_power(params, one, *legs), rel=1e-12)
 
     low = dataclasses.replace(base, reflection_coefficient=0.45)
     high = dataclasses.replace(base, reflection_coefficient=0.9)
-    assert irs_rx_power(params, high, geom) == pytest.approx(
-        4.0 * irs_rx_power(params, low, geom), rel=1e-12)
+    assert irs_rx_power(params, high, *legs) == pytest.approx(
+        4.0 * irs_rx_power(params, low, *legs), rel=1e-12)
 
-    p45 = irs_rx_power(params, dataclasses.replace(base, theta_t=45.0, theta_r=45.0), geom)
-    p60 = irs_rx_power(params, dataclasses.replace(base, theta_t=60.0, theta_r=60.0), geom)
+    p45 = irs_rx_power(params, dataclasses.replace(base, theta_t=45.0, theta_r=45.0), *legs)
+    p60 = irs_rx_power(params, dataclasses.replace(base, theta_t=60.0, theta_r=60.0), *legs)
     gap = 10.0 * math.log10(p45 / p60)
     assert gap == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
     leg_gap = 10.0 * math.log10(
-        irs_rx_power(params, base, geom2) / irs_rx_power(params, base, geom))
+        irs_rx_power(params, base, *legs2) / irs_rx_power(params, base, *legs))
     # doubling both legs quadruples r1*r2, so power drops 16x (-12.0412 dB)
     assert leg_gap == pytest.approx(-40.0 * math.log10(2.0), abs=1e-9)
     report(3, "r-doubling, element-count, reflection and cosine/leg scaling laws hold")
@@ -299,8 +300,8 @@ def test_criterion_8_placement_comparison():
     for irs in candidates:
         sinrs = []
         for rx in rx_positions:
-            geom = cascade_distances(scenario.tx, irs, rx)
-            power = irs_rx_power(scenario.channel, scenario.panel, geom)
+            legs = cascade_distances(scenario.tx, irs, rx)
+            power = irs_rx_power(scenario.channel, scenario.panel, *legs)
             sinrs.append(10.0 * math.log10(power / denominator))
         brute.append((irs, min(sinrs), sinrs))
     brute.sort(key=lambda item: item[1], reverse=True)

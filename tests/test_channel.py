@@ -18,22 +18,19 @@ from irssim import (
     dbm_to_watts,
     irs_rx_power,
     irs_scattering_gain,
-    sample_fading,
     sample_fading_block,
     watts_to_dbm,
     wavelength,
 )
-from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode, convert_power
+from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
-def make_params(frequency=SPEED_OF_LIGHT, tx_power=1.0, alpha=2.0,
-                noise=1e-10, interference=0.0):
+def make_params(frequency=SPEED_OF_LIGHT, tx_power=1.0, alpha=2.0, noise=1e-10):
     return ChannelParams(
         carrier_frequency=frequency,
         tx_power=tx_power,
         path_loss_exponent=alpha,
         noise_power=noise,
-        interference_power=interference,
     )
 
 
@@ -89,35 +86,29 @@ class TestPowerConversion:
     def test_round_trip(self, watts):
         assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
 
-    def test_convert_power_dispatch(self):
-        assert convert_power(1.0, "watts", "dbm") == pytest.approx(30.0, abs=1e-12)
-        assert convert_power(0.0, "dbm", "watts") == pytest.approx(1e-3, rel=1e-12)
-        with pytest.raises(InvalidInputError):
-            convert_power(1.0, "watts", "db")
-
 
 class TestFading:
     def test_deterministic_is_unity(self):
         model = FadingModel(mode=FadingMode.DETERMINISTIC)
         for index in (0, 1, 17, 2**40):
-            assert sample_fading(model, index) == 1.0
+            assert sample_fading_block(model, index, 1)[0] == 1.0
 
     def test_reproducible(self):
         model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1234)
-        first = sample_fading(model, 7)
-        second = sample_fading(model, 7)
+        first = sample_fading_block(model, 7, 1)[0]
+        second = sample_fading_block(model, 7, 1)[0]
         assert first == second
         assert first > 0
 
     def test_block_matches_individual_draws(self):
         model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=99)
         block = sample_fading_block(model, 100, 8)
-        singles = [sample_fading(model, 100 + i) for i in range(8)]
+        singles = [sample_fading_block(model, 100 + i, 1)[0] for i in range(8)]
         assert list(block) == singles
 
     def test_different_seeds_differ(self):
-        a = sample_fading(FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=1), 0)
-        b = sample_fading(FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=2), 0)
+        a = sample_fading_block(FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=1), 0, 1)[0]
+        b = sample_fading_block(FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=2), 0, 1)[0]
         assert a != b
 
     def test_unit_mean_monte_carlo(self):
@@ -221,7 +212,7 @@ class TestIrsRxPower:
                            reflection_coefficient=1.0, tx_gain=1.0, rx_gain=1.0,
                            theta_t=0.0, theta_r=0.0)
         params = make_params()
-        value = irs_rx_power(params, panel, unit_cascade())
+        value = irs_rx_power(params, panel, *unit_cascade())
         assert value == pytest.approx(1.0 / (256.0 * math.pi**4), rel=1e-12)
         assert value == pytest.approx(4.010149e-5, rel=1e-6)
 
@@ -229,22 +220,22 @@ class TestIrsRxPower:
         base = make_panel(theta_t=0.0, theta_r=0.0)
         tilted = make_panel(theta_t=60.0, theta_r=60.0)
         params = make_params()
-        geom = unit_cascade()
-        assert irs_rx_power(params, tilted, geom) == pytest.approx(
-            0.25 * irs_rx_power(params, base, geom), rel=1e-12)
+        legs = unit_cascade()
+        assert irs_rx_power(params, tilted, *legs) == pytest.approx(
+            0.25 * irs_rx_power(params, base, *legs), rel=1e-12)
 
     def test_element_count_scaling(self):
         params = make_params()
-        geom = unit_cascade()
-        single = irs_rx_power(params, make_panel(tx_side_elements=1, rx_side_elements=1), geom)
-        multi = irs_rx_power(params, make_panel(tx_side_elements=2, rx_side_elements=3), geom)
+        legs = unit_cascade()
+        single = irs_rx_power(params, make_panel(tx_side_elements=1, rx_side_elements=1), *legs)
+        multi = irs_rx_power(params, make_panel(tx_side_elements=2, rx_side_elements=3), *legs)
         assert multi == pytest.approx(36.0 * single, rel=1e-12)
 
     def test_wavelength_cancellation(self):
         panel = make_panel()
-        geom = unit_cascade(3.0, 7.0)
+        legs = unit_cascade(3.0, 7.0)
         values = [
-            irs_rx_power(make_params(frequency=f), panel, geom)
+            irs_rx_power(make_params(frequency=f), panel, *legs)
             for f in (1e9, 3e9, 28e9)
         ]
         assert values[1] == pytest.approx(values[0], rel=1e-12)
@@ -252,39 +243,39 @@ class TestIrsRxPower:
 
     def test_angle_symmetry(self):
         params = make_params()
-        geom = unit_cascade(2.0, 5.0)
-        a = irs_rx_power(params, make_panel(theta_t=20.0, theta_r=70.0), geom)
-        b = irs_rx_power(params, make_panel(theta_t=70.0, theta_r=20.0), geom)
+        legs = unit_cascade(2.0, 5.0)
+        a = irs_rx_power(params, make_panel(theta_t=20.0, theta_r=70.0), *legs)
+        b = irs_rx_power(params, make_panel(theta_t=70.0, theta_r=20.0), *legs)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_leg_swap_symmetry(self):
         params = make_params()
         panel = make_panel()
-        a = irs_rx_power(params, panel, unit_cascade(2.0, 5.0))
-        b = irs_rx_power(params, panel, unit_cascade(5.0, 2.0))
+        a = irs_rx_power(params, panel, *unit_cascade(2.0, 5.0))
+        b = irs_rx_power(params, panel, *unit_cascade(5.0, 2.0))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_angle_monotonicity(self):
         params = make_params()
-        geom = unit_cascade()
+        legs = unit_cascade()
         values = [
-            irs_rx_power(params, make_panel(theta_t=t, theta_r=30.0), geom)
+            irs_rx_power(params, make_panel(theta_t=t, theta_r=30.0), *legs)
             for t in np.linspace(0.0, 89.0, 30)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_reflection_coefficient_squared(self):
         params = make_params()
-        geom = unit_cascade()
-        half = irs_rx_power(params, make_panel(reflection_coefficient=0.4), geom)
-        full = irs_rx_power(params, make_panel(reflection_coefficient=0.8), geom)
+        legs = unit_cascade()
+        half = irs_rx_power(params, make_panel(reflection_coefficient=0.4), *legs)
+        full = irs_rx_power(params, make_panel(reflection_coefficient=0.8), *legs)
         assert full == pytest.approx(4.0 * half, rel=1e-12)
 
     def test_leg_product_inverse_square(self):
         params = make_params()
         panel = make_panel()
-        near = irs_rx_power(params, panel, unit_cascade(2.0, 3.0))
-        far = irs_rx_power(params, panel, unit_cascade(4.0, 6.0))
+        near = irs_rx_power(params, panel, *unit_cascade(2.0, 3.0))
+        far = irs_rx_power(params, panel, *unit_cascade(4.0, 6.0))
         assert far == pytest.approx(near / 16.0, rel=1e-12)
 
 
@@ -298,8 +289,6 @@ class TestValidation:
             make_params(alpha=-0.5)
         with pytest.raises(InvalidInputError):
             make_params(noise=0.0)
-        with pytest.raises(InvalidInputError):
-            make_params(interference=-1e-12)
 
     @pytest.mark.parametrize("field,value", [
         ("element_length", 0.0),

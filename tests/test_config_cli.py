@@ -81,8 +81,9 @@ class TestParseScenario:
         scenario, spec = parse_scenario(CONVENTIONAL_CONFIG)
         assert scenario.mode is LinkMode.CONVENTIONAL
         assert scenario.channel.tx_power == pytest.approx(1.0, rel=1e-12)
-        assert scenario.channel.interference_power == pytest.approx(
+        assert scenario.interference.constant_power == pytest.approx(
             dbm_to_watts(-100.0), rel=1e-12)
+        assert scenario.interference.interferers == ()
         assert spec.steps == 20
 
     def test_irs_config(self):
@@ -114,6 +115,18 @@ class TestParseScenario:
         bad = CONVENTIONAL_CONFIG.replace("frequency_hz = 28e9\n", "")
         with pytest.raises(ConfigError, match="channel.frequency_hz"):
             parse_scenario(bad)
+
+    @pytest.mark.parametrize("old,new,name", [
+        ("trials = 10", "trails = 100", r"unknown key sweep\.trails;"),
+        ("mode = rayleigh", "mod = rayleigh", r"unknown key fading\.mod;"),
+        ("irs = 50 0 10", "irs = 50 0 10\nrx_direciton = 0 1 0",
+         r"unknown key geometry\.rx_direciton;"),
+        ("[fading]", "[fadding]", r"unknown section \[fadding\]"),
+        ("[sweep]", "[DEFAULT]\ntrials = 10\n[sweep]", r"\[DEFAULT\] is not supported"),
+    ], ids=["sweep.trails", "fading.mod", "geometry.rx_direciton", "section", "DEFAULT"])
+    def test_unknown_key_or_section_named(self, old, new, name):
+        with pytest.raises(ConfigError, match=name):
+            parse_scenario(IRS_CONFIG.replace(old, new))
 
     def test_panel_in_conventional_mode_rejected(self):
         bad = CONVENTIONAL_CONFIG + "\n[panel]\nelement_length_m = 0.005\n"

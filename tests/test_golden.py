@@ -3,7 +3,9 @@
 The files under tests/golden/ were written by the scalar per-point engine that
 preceded the array kernel: every preset at its default 96-step grid, both
 deterministic and with Rayleigh fading (seed 42, 100 trials), and a small
-placement ranking with two modeled interferers. Regenerate them only with a
+placement ranking with two modeled interferers. The two JSON files (fig1
+deterministic, fig2b Rayleigh) were written before the duplicate interference
+field and the unused public names were deleted. Regenerate them only with a
 change that is meant to alter results, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,11 +38,14 @@ SWEEPS = {
     **{f"{name}_deterministic.csv": ("--preset", name) for name in PRESET_NAMES},
     **{f"{name}_rayleigh_seed42_trials100.csv": ("--preset", name) + RAYLEIGH_FLAGS
        for name in PRESET_NAMES},
+    "fig1_deterministic.json": ("--preset", "fig1", "--format", "json"),
+    "fig2b_rayleigh_seed42_trials100.json": ("--preset", "fig2b", "--format", "json")
+    + RAYLEIGH_FLAGS,
 }
 PLACEMENT = "placement_fig2b_seed7.csv"
 
 
-def sweep_csv(args) -> str:
+def sweep_output(args) -> str:
     """What `irssim sweep ARGS` writes to stdout."""
     out = io.StringIO()
     with redirect_stdout(out):
@@ -74,7 +79,7 @@ def placement_csv() -> str:
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden(name):
-    assert sweep_csv(SWEEPS[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
+    assert sweep_output(SWEEPS[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def test_placement_matches_golden():
@@ -84,5 +89,5 @@ def test_placement_matches_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, args in SWEEPS.items():
-        (GOLDEN / name).write_text(sweep_csv(args), encoding="utf-8", newline="\n")
+        (GOLDEN / name).write_text(sweep_output(args), encoding="utf-8", newline="\n")
     (GOLDEN / PLACEMENT).write_text(placement_csv(), encoding="utf-8", newline="\n")

@@ -1,7 +1,8 @@
-"""SINR and interference aggregation tests."""
+"""Interference aggregation and noise floor tests."""
+
+import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
 
 from irssim import (
     ChannelParams,
@@ -12,7 +13,6 @@ from irssim import (
     Point3,
     conventional_rx_power,
     aggregate_interference,
-    sinr,
     thermal_noise_watts,
 )
 from irssim.channel import FadingMode
@@ -25,55 +25,6 @@ def make_params():
         path_loss_exponent=2.0,
         noise_power=1e-13,
     )
-
-
-class TestSinr:
-    def test_simple_ratio(self):
-        budget = sinr(1e-9, 4e-10, 1e-10)
-        assert budget.sinr_linear == pytest.approx(2.0, rel=1e-15)
-        assert budget.sinr_db == pytest.approx(3.0103, abs=1e-4)
-
-    def test_unity_ratio(self):
-        budget = sinr(1e-9, 0.0, 1e-9)
-        assert budget.sinr_linear == 1.0
-        assert budget.sinr_db == 0.0
-
-    def test_chained_from_rx_power(self):
-        # 1/(16 pi^2) W over 1e-10 W noise, no interference
-        budget = sinr(6.33257e-3, 0.0, 1e-10)
-        assert budget.sinr_db == pytest.approx(78.02, abs=0.01)
-
-    def test_rejects_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
-            sinr(0.0, 0.0, 1e-10)
-        with pytest.raises(InvalidInputError):
-            sinr(1e-9, -1e-12, 1e-10)
-        with pytest.raises(InvalidInputError):
-            sinr(1e-9, 0.0, 0.0)
-
-    @given(st.floats(min_value=1e-15, max_value=1.0),
-           st.floats(min_value=0.0, max_value=1.0),
-           st.floats(min_value=1e-15, max_value=1.0),
-           st.floats(min_value=1e-3, max_value=1e3))
-    def test_scale_invariance(self, p, i, n, k):
-        base = sinr(p, i, n)
-        scaled = sinr(k * p, k * i, k * n)
-        assert scaled.sinr_linear == pytest.approx(base.sinr_linear, rel=1e-12)
-
-    def test_monotonicity(self):
-        base = sinr(1e-9, 1e-10, 1e-10)
-        assert sinr(2e-9, 1e-10, 1e-10).sinr_linear > base.sinr_linear
-        assert sinr(1e-9, 2e-10, 1e-10).sinr_linear < base.sinr_linear
-        assert sinr(1e-9, 1e-10, 2e-10).sinr_linear < base.sinr_linear
-
-    @given(st.floats(min_value=1e-15, max_value=1.0),
-           st.floats(min_value=0.0, max_value=1.0),
-           st.floats(min_value=1e-15, max_value=1.0))
-    def test_db_consistency(self, p, i, n):
-        import math
-        budget = sinr(p, i, n)
-        assert budget.sinr_db == pytest.approx(
-            10.0 * math.log10(budget.sinr_linear), rel=1e-12, abs=1e-12)
 
 
 class TestAggregateInterference:
@@ -122,9 +73,23 @@ class TestAggregateInterference:
         with pytest.raises(DegenerateGeometryError):
             aggregate_interference(interferer_set, Point3(1, 1, 1), self.deterministic)
 
+    def test_floor_plus_interferers_sum(self):
+        params = make_params()
+        interferer_set = InterfererSet(constant_power=1e-11,
+                                       interferers=((params, Point3(0, 25, 0)),))
+        total = aggregate_interference(interferer_set, Point3(0, 0, 0), self.deterministic)
+        assert total == pytest.approx(1e-11 + conventional_rx_power(params, 25.0), rel=1e-12)
+
     def test_constant_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError):
             InterfererSet.constant(-1e-12)
+        with pytest.raises(InvalidInputError):
+            InterfererSet(constant_power=-1e-12)
+
+    def test_negative_floor_with_interferers_rejected(self):
+        modeled = InterfererSet.modeled([(make_params(), Point3(0, 25, 0))])
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(modeled, constant_power=-1e-12)
 
 
 class TestThermalNoise:

@@ -34,7 +34,6 @@ def make_channel(alpha=2.0):
         tx_power=1.0,
         path_loss_exponent=alpha,
         noise_power=4e-13,
-        interference_power=0.0,
     )
 
 
@@ -301,7 +300,7 @@ class TestComparePlacement:
         candidates = [Point3(x, 0, 10) for x in (20, 40, 60, 90)]
         report = compare_placement(scenario, candidates, [rx], self.spec)
         products = {
-            irs: cascade_distances(scenario.tx, irs, rx).r1 * cascade_distances(scenario.tx, irs, rx).r2
+            irs: math.prod(cascade_distances(scenario.tx, irs, rx))
             for irs in candidates
         }
         best = min(candidates, key=lambda p: products[p])
@@ -316,8 +315,8 @@ class TestComparePlacement:
         def brute_min_sinr(irs):
             worst = math.inf
             for rx in rx_positions:
-                geom = cascade_distances(scenario.tx, irs, rx)
-                power = irs_rx_power(scenario.channel, scenario.panel, geom)
+                legs = cascade_distances(scenario.tx, irs, rx)
+                power = irs_rx_power(scenario.channel, scenario.panel, *legs)
                 ratio = power / (scenario.interference.constant_power
                                  + scenario.channel.noise_power)
                 worst = min(worst, 10.0 * math.log10(ratio))
