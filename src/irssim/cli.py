@@ -12,16 +12,8 @@ from irssim.channel import ConventionalModel, FadingMode, FadingModel
 from irssim.config import parse_scenario
 from irssim.errors import SimulatorError
 from irssim.output import emit_results
-from irssim.presets import PRESET_NAMES, build_preset
+from irssim.presets import PRESET_DESCRIPTIONS, PRESET_NAMES, build_preset
 from irssim.sweep import run_distance_sweep
-
-_PRESET_DESCRIPTIONS = {
-    "fig1": "conventional downlink, SINR vs tx-rx distance",
-    "fig2a": "IRS-assisted, theta_t=45 theta_r=45, SINR vs distance",
-    "fig2b": "IRS-assisted, theta_t=60 theta_r=60, SINR vs distance",
-    "fig2c": "IRS-assisted, theta_t=45 theta_r=60, SINR vs distance",
-    "fig2d": "IRS-assisted, theta_t=60 theta_r=60, IRS 50 m past the cell edge",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,8 +78,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_presets() -> int:
-    for name in PRESET_NAMES:
-        print(f"{name}\t{_PRESET_DESCRIPTIONS[name]}")
+    for name, description in PRESET_DESCRIPTIONS.items():
+        print(f"{name}\t{description}")
     return 0
 
 

@@ -24,7 +24,7 @@ from irssim.channel import (
 from irssim.errors import ConfigError, InvalidInputError
 from irssim.geometry import Point3
 from irssim.sinr import InterfererSet, thermal_noise_watts
-from irssim.sweep import LinkMode, Scenario, SweepSpec
+from irssim.sweep import Scenario, SweepSpec
 
 _ALLOWED_KEYS = {
     "channel": ("frequency_hz", "tx_power_dbm", "path_loss_exponent", "noise_dbm",
@@ -178,12 +178,11 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
     mode_name = _get(geometry, "mode", str)
     if mode_name not in ("conventional", "irs"):
         raise ConfigError(f"geometry.mode must be 'conventional' or 'irs', got {mode_name!r}")
-    mode = LinkMode.CONVENTIONAL if mode_name == "conventional" else LinkMode.IRS_ASSISTED
 
     tx = _get_point(geometry, "tx")
     irs: Optional[Point3] = None
     panel: Optional[IrsPanel] = None
-    if mode is LinkMode.IRS_ASSISTED:
+    if mode_name == "irs":
         irs = _get_point(geometry, "irs")
         panel = _parse_panel(_section(parser, "panel"))
     else:
@@ -206,7 +205,6 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
             channel=channel,
             fading=fading,
             interference=interference,
-            mode=mode,
             tx=tx,
             panel=panel,
             irs=irs,

@@ -12,8 +12,6 @@ from typing import Tuple
 
 from irssim.channel import (
     ChannelParams,
-    ConventionalModel,
-    FadingMode,
     FadingModel,
     IrsPanel,
     dbm_to_watts,
@@ -21,7 +19,7 @@ from irssim.channel import (
 from irssim.errors import InvalidInputError
 from irssim.geometry import Point3
 from irssim.sinr import InterfererSet, thermal_noise_watts
-from irssim.sweep import LinkMode, Scenario, SweepSpec
+from irssim.sweep import Scenario, SweepSpec
 
 CELL_RADIUS_M = 100.0
 TX_POSITION = Point3(0.0, 0.0, 10.0)
@@ -39,23 +37,23 @@ _DEFAULT_ASSUMPTIONS = (
     "the transmitter-to-reflector leg and both angles stay fixed",
 )
 
-PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c", "fig2d")
-
-_ANGLES = {
-    "fig2a": (45.0, 45.0),
-    "fig2b": (60.0, 60.0),
-    "fig2c": (45.0, 60.0),
-    "fig2d": (60.0, 60.0),
+# name -> (description, IRS position or None for the direct link,
+#          (theta_t, theta_r) or None, assumptions beyond the defaults)
+_PRESETS = {
+    "fig1": ("conventional downlink, SINR vs tx-rx distance", None, None, ()),
+    "fig2a": ("IRS-assisted, theta_t=45 theta_r=45, SINR vs distance",
+              MID_CELL_IRS, (45.0, 45.0), ()),
+    "fig2b": ("IRS-assisted, theta_t=60 theta_r=60, SINR vs distance",
+              MID_CELL_IRS, (60.0, 60.0), ()),
+    "fig2c": ("IRS-assisted, theta_t=45 theta_r=60, SINR vs distance",
+              MID_CELL_IRS, (45.0, 60.0), ()),
+    "fig2d": ("IRS-assisted, theta_t=60 theta_r=60, IRS 50 m past the cell edge",
+              EDGE_OFFSET_IRS, (60.0, 60.0),
+              ("IRS placed 50 m beyond the cell edge on the deployment axis",)),
 }
 
-
-def _default_channel() -> ChannelParams:
-    return ChannelParams(
-        carrier_frequency=28e9,
-        tx_power=dbm_to_watts(30.0),
-        path_loss_exponent=2.0,
-        noise_power=thermal_noise_watts(100e6),
-    )
+PRESET_NAMES = tuple(_PRESETS)
+PRESET_DESCRIPTIONS = {name: preset[0] for name, preset in _PRESETS.items()}
 
 
 def _default_panel(theta_t: float, theta_r: float) -> IrsPanel:
@@ -72,48 +70,25 @@ def _default_panel(theta_t: float, theta_r: float) -> IrsPanel:
     )
 
 
-def build_preset(
-    name: str,
-    fading_mode: FadingMode = FadingMode.DETERMINISTIC,
-    conventional_model: ConventionalModel = ConventionalModel.PAPER,
-) -> Tuple[Scenario, SweepSpec]:
+def build_preset(name: str) -> Tuple[Scenario, SweepSpec]:
     """Scenario and sweep grid for a named built-in experiment."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise InvalidInputError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    channel = _default_channel()
-    interference = InterfererSet.constant(dbm_to_watts(-100.0))
-    fading = FadingModel(mode=fading_mode,
-                         seed=0 if fading_mode is FadingMode.RAYLEIGH_EXPONENTIAL else None)
-    spec = SweepSpec(start=5.0, stop=CELL_RADIUS_M, steps=96, trials=1, seed=0)
-    if name == "fig1":
-        scenario = Scenario(
-            channel=channel,
-            fading=fading,
-            interference=interference,
-            mode=LinkMode.CONVENTIONAL,
-            tx=TX_POSITION,
-            conventional_model=conventional_model,
-            label="fig1",
-            assumptions=_DEFAULT_ASSUMPTIONS,
-        )
-        return scenario, spec
-    theta_t, theta_r = _ANGLES[name]
-    irs = EDGE_OFFSET_IRS if name == "fig2d" else MID_CELL_IRS
-    assumptions = _DEFAULT_ASSUMPTIONS
-    if name == "fig2d":
-        assumptions = assumptions + (
-            "IRS placed 50 m beyond the cell edge on the deployment axis",)
+    _, irs, angles, assumptions = _PRESETS[name]
     scenario = Scenario(
-        channel=channel,
-        fading=fading,
-        interference=interference,
-        mode=LinkMode.IRS_ASSISTED,
+        channel=ChannelParams(
+            carrier_frequency=28e9,
+            tx_power=dbm_to_watts(30.0),
+            path_loss_exponent=2.0,
+            noise_power=thermal_noise_watts(100e6),
+        ),
+        fading=FadingModel(),
+        interference=InterfererSet.constant(dbm_to_watts(-100.0)),
         tx=TX_POSITION,
-        panel=_default_panel(theta_t, theta_r),
+        panel=None if irs is None else _default_panel(*angles),
         irs=irs,
-        conventional_model=conventional_model,
         label=name,
-        assumptions=assumptions,
+        assumptions=_DEFAULT_ASSUMPTIONS + assumptions,
     )
-    return scenario, spec
+    return scenario, SweepSpec(start=5.0, stop=CELL_RADIUS_M, steps=96, trials=1, seed=0)

@@ -20,6 +20,10 @@ from irssim.geometry import Point3, Points, distance
 BOLTZMANN = 1.380649e-23  # J/K
 REFERENCE_TEMPERATURE_K = 290.0
 
+# interference fading draws live in their own half of the stream space so
+# they can never collide with signal draws
+_INTERFERENCE_STREAM_BASE = 1 << 62
+
 
 @dataclass(frozen=True)
 class InterfererSet:
@@ -46,7 +50,6 @@ def aggregate_interference(
     interferer_set: InterfererSet,
     rx: Points,
     fading: FadingModel,
-    stream_base: int = 0,
     model: ConventionalModel = ConventionalModel.PAPER,
 ) -> Union[float, np.ndarray]:
     """Total interference power at rx, in watts.
@@ -54,9 +57,9 @@ def aggregate_interference(
     The constant floor plus the direct-link received power from each
     modeled interferer. Receiver p of an array of shape (P, 3) gives element
     p of the result and draws one fading gain per interferer j at stream
-    index ``stream_base + p * n + j`` (n interferers); a single receiver is
-    p = 0. With no interferers the floor is returned as is and nothing is
-    drawn.
+    index ``_INTERFERENCE_STREAM_BASE + p * n + j`` (n interferers); a
+    single receiver is p = 0. With no interferers the floor is returned as
+    is and nothing is drawn.
     """
     total = interferer_set.constant_power
     if not interferer_set.interferers:
@@ -64,7 +67,8 @@ def aggregate_interference(
     single = isinstance(rx, Point3)
     receivers = 1 if single else len(rx)
     count = len(interferer_set.interferers)
-    gains = sample_fading_block(fading, stream_base, receivers * count).reshape(receivers, count)
+    gains = sample_fading_block(
+        fading, _INTERFERENCE_STREAM_BASE, receivers * count).reshape(receivers, count)
     for offset, (params, position) in enumerate(interferer_set.interferers):
         r = distance(position, rx)
         if np.any(np.equal(r, 0.0)):

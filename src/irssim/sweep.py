@@ -4,16 +4,15 @@ Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
 statistics) is one call of the array kernel :func:`_evaluate`, which scores K
 reflector positions against P receivers over T fading trials. Every random
 draw is a pure function of (seed, stream index): trial t at receiver p uses
-index p*T + t, and interferer j at receiver p uses
-``_INTERFERENCE_STREAM_BASE + p*n + j`` for n interferers, so every reflector
-position sees the same draws (common random numbers). The kernel walks the
-receivers in chunks sized by memory; a chunk never splits one receiver's
-trials, so results are bit-identical at any chunk size.
+index p*T + t, and the interferer draws follow the layout of
+:func:`irssim.sinr.aggregate_interference`, so every reflector position sees
+the same draws (common random numbers). The kernel walks the receivers in
+chunks sized by memory; a chunk never splits one receiver's trials, so
+results are bit-identical at any chunk size.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -35,33 +34,23 @@ from irssim.errors import DegenerateGeometryError, InvalidInputError
 from irssim.geometry import Point3, cascade_distances, distance
 from irssim.sinr import InterfererSet, aggregate_interference
 
-# interference fading draws live in their own half of the stream space so
-# they can never collide with signal draws
-_INTERFERENCE_STREAM_BASE = 1 << 62
-
 # elements of the (K, P, T) work block the kernel holds at once (512 KiB);
 # a receiver whose K*T trials exceed it gets a chunk of its own
 _CHUNK_ELEMENTS = 1 << 16
 
 
-class LinkMode(enum.Enum):
-    CONVENTIONAL = "conventional"
-    IRS_ASSISTED = "irs"
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified downlink to sweep.
+    """A fully specified downlink to sweep: IRS-assisted when it carries a
+    panel and an IRS position, conventional when it carries neither.
 
-    In IRS-assisted mode the receiver is placed on a ray from the reflector
-    (direction ``rx_direction``) so the swept distance is the reflector-to-
-    receiver leg; in conventional mode the same ray starts at the transmitter.
+    Receivers lie on a ray in direction ``rx_direction`` that starts at the
+    reflector, or at the transmitter on a conventional link.
     """
 
     channel: ChannelParams
     fading: FadingModel
     interference: InterfererSet
-    mode: LinkMode
     tx: Point3
     panel: Optional[IrsPanel] = None
     irs: Optional[Point3] = None
@@ -71,24 +60,26 @@ class Scenario:
     assumptions: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode is LinkMode.IRS_ASSISTED:
-            if self.panel is None or self.irs is None:
-                raise InvalidInputError(
-                    "irs mode requires both a panel and an IRS position")
-        else:
-            if self.panel is not None or self.irs is not None:
-                raise InvalidInputError(
-                    "conventional mode must not carry a panel or IRS position")
+        if (self.panel is None) != (self.irs is None):
+            raise InvalidInputError(
+                "a scenario carries both a panel and an IRS position, or neither")
         norm = math.sqrt(sum(c * c for c in self.rx_direction))
         if not (norm > 0 and math.isfinite(norm)):
             raise InvalidInputError(f"rx_direction must be nonzero, got {self.rx_direction!r}")
 
     def receivers_at(self, xs: Sequence[float]) -> np.ndarray:
         """Receiver positions, shape (len(xs), 3), at swept distances xs along the ray."""
-        origin = self.irs if self.mode is LinkMode.IRS_ASSISTED else self.tx
+        origin = self.tx if self.irs is None else self.irs
         norm = math.sqrt(sum(c * c for c in self.rx_direction))
         unit = np.array([c / norm for c in self.rx_direction])
         return _as_array([origin]) + np.asarray(xs, dtype=float)[:, None] * unit
+
+
+def _check_trials_and_seed(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
+    if not (0 <= seed < 2 ** 64):
+        raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +98,7 @@ class SweepSpec:
                 f"sweep start must be < stop, got [{self.start!r}, {self.stop!r}]")
         if self.steps < 2:
             raise InvalidInputError(f"sweep steps must be >= 2, got {self.steps!r}")
-        if self.trials < 1:
-            raise InvalidInputError(f"trials must be >= 1, got {self.trials!r}")
-        if not (0 <= self.seed < 2 ** 64):
-            raise InvalidInputError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+        _check_trials_and_seed(self.trials, self.seed)
 
     def grid(self) -> List[float]:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -175,7 +163,7 @@ def _as_array(points: Sequence[Point3]) -> np.ndarray:
 
 def _signal_power(scenario: Scenario, irs: Optional[np.ndarray], rx: np.ndarray) -> np.ndarray:
     """Unit-fading received power, shape (K, P); conventional mode has K = 1."""
-    if scenario.mode is LinkMode.IRS_ASSISTED:
+    if scenario.irs is not None:
         r1, r2 = cascade_distances(scenario.tx, irs[:, None, :], rx)
         return irs_rx_power(scenario.channel, scenario.panel, r1, r2)
     r = distance(scenario.tx, rx)
@@ -206,8 +194,7 @@ def _evaluate(
     try:
         signal = _signal_power(scenario, irs, rx)
         interference = aggregate_interference(
-            scenario.interference, rx, fading,
-            stream_base=_INTERFERENCE_STREAM_BASE, model=scenario.conventional_model)
+            scenario.interference, rx, fading, scenario.conventional_model)
     except DegenerateGeometryError:
         # rare path: retry pair by pair to name the first offending one
         for k, p in itertools.product(range(1 if irs is None else len(irs)), range(len(rx))):
@@ -254,7 +241,7 @@ def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
     return {
         "seed": spec.seed,
         "trials": spec.trials,
-        "mode": scenario.mode.value,
+        "mode": "conventional" if scenario.irs is None else "irs",
         "conventional_model": scenario.conventional_model.value,
         "fading": scenario.fading.mode.value,
         "interference_mode": "modeled" if scenario.interference.interferers else "constant",
@@ -263,7 +250,7 @@ def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
 
 
 def _irs_of(scenario: Scenario) -> Optional[np.ndarray]:
-    return _as_array([scenario.irs]) if scenario.mode is LinkMode.IRS_ASSISTED else None
+    return None if scenario.irs is None else _as_array([scenario.irs])
 
 
 def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
@@ -301,7 +288,7 @@ def run_angle_sweep(
     All pairs reuse the same seed and stream indices, so dB gaps between the
     returned curves reflect only the angle change (common random numbers).
     """
-    if scenario.mode is not LinkMode.IRS_ASSISTED:
+    if scenario.irs is None:
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
     results = []
     for theta_t, theta_r in angle_pairs:
@@ -321,8 +308,7 @@ def monte_carlo_stats(
     seed: int,
 ) -> MonteCarloStats:
     """Fading statistics of the link to a fixed receiver position."""
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
+    _check_trials_and_seed(trials, seed)
     stats = _evaluate(scenario, _irs_of(scenario), _as_array([point]), trials, seed,
                       where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
     return MonteCarloStats(
@@ -347,7 +333,7 @@ def compare_placement(
     Fading draws are indexed by receiver only, so every candidate position is
     scored against identical channel realizations.
     """
-    if scenario.mode is not LinkMode.IRS_ASSISTED:
+    if scenario.irs is None:
         raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
     if not irs_positions or not rx_positions:
         raise InvalidInputError("placement comparison needs >= 1 IRS and >= 1 rx position")

@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from irssim import (
     ConfigError,
     PRESET_NAMES,
+    Point3,
     build_preset,
     dbm_to_watts,
     emit_results,
@@ -19,7 +22,6 @@ from irssim import (
 from irssim.channel import ConventionalModel, FadingMode
 from irssim.cli import main
 from irssim.output import CSV_HEADER, render_results
-from irssim.sweep import LinkMode
 
 CONVENTIONAL_CONFIG = """\
 [channel]
@@ -79,16 +81,25 @@ seed = 42
 class TestParseScenario:
     def test_minimal_conventional(self):
         scenario, spec = parse_scenario(CONVENTIONAL_CONFIG)
-        assert scenario.mode is LinkMode.CONVENTIONAL
+        assert scenario.irs is None and scenario.panel is None
         assert scenario.channel.tx_power == pytest.approx(1.0, rel=1e-12)
         assert scenario.interference.constant_power == pytest.approx(
             dbm_to_watts(-100.0), rel=1e-12)
         assert scenario.interference.interferers == ()
         assert spec.steps == 20
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        scenario, spec = parse_scenario(blocks[0])
+        assert scenario.irs == Point3(50, 0, 10)
+        assert scenario.fading.mode is FadingMode.RAYLEIGH_EXPONENTIAL
+        assert spec.trials == 100
+
     def test_irs_config(self):
         scenario, spec = parse_scenario(IRS_CONFIG)
-        assert scenario.mode is LinkMode.IRS_ASSISTED
+        assert scenario.irs == Point3(50, 0, 10)
         assert scenario.panel.theta_t == 60.0
         # 10 dBi -> linear 10
         assert scenario.panel.tx_gain == pytest.approx(10.0, rel=1e-12)
@@ -171,7 +182,7 @@ class TestPresets:
 
     def test_fig1_is_conventional(self):
         scenario, _ = build_preset("fig1")
-        assert scenario.mode is LinkMode.CONVENTIONAL
+        assert scenario.irs is None and scenario.panel is None
 
     def test_fig2d_irs_beyond_edge(self):
         scenario, _ = build_preset("fig2d")

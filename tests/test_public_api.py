@@ -34,6 +34,8 @@ DEFINED = {
 FIELDS = {
     irssim.ChannelParams: ["carrier_frequency", "tx_power", "path_loss_exponent", "noise_power"],
     irssim.InterfererSet: ["constant_power", "interferers"],
+    irssim.Scenario: ["channel", "fading", "interference", "tx", "panel", "irs", "rx_direction",
+                      "conventional_model", "label", "assumptions"],
 }
 
 

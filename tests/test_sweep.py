@@ -25,7 +25,6 @@ from irssim import (
 )
 from irssim import sweep as sweep_module
 from irssim.channel import FadingMode
-from irssim.sweep import LinkMode
 
 
 def make_channel(alpha=2.0):
@@ -56,7 +55,6 @@ def conventional_scenario(alpha=2.0, fading=None):
         channel=make_channel(alpha),
         fading=fading or FadingModel(mode=FadingMode.DETERMINISTIC),
         interference=InterfererSet.constant(1e-13),
-        mode=LinkMode.CONVENTIONAL,
         tx=Point3(0, 0, 10),
         label="conv",
     )
@@ -67,7 +65,6 @@ def irs_scenario(theta_t=45.0, theta_r=45.0, fading=None, irs=Point3(50, 0, 10))
         channel=make_channel(),
         fading=fading or FadingModel(mode=FadingMode.DETERMINISTIC),
         interference=InterfererSet.constant(1e-13),
-        mode=LinkMode.IRS_ASSISTED,
         tx=Point3(0, 0, 10),
         panel=make_panel(theta_t, theta_r),
         irs=irs,
@@ -98,22 +95,21 @@ class TestSweepSpec:
 
 class TestScenario:
     def test_irs_mode_requires_panel_and_position(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="panel"):
             Scenario(
                 channel=make_channel(),
                 fading=FadingModel(),
                 interference=InterfererSet.constant(0.0),
-                mode=LinkMode.IRS_ASSISTED,
                 tx=Point3(0, 0, 10),
+                irs=Point3(50, 0, 10),
             )
 
     def test_conventional_mode_rejects_panel(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="IRS position"):
             Scenario(
                 channel=make_channel(),
                 fading=FadingModel(),
                 interference=InterfererSet.constant(0.0),
-                mode=LinkMode.CONVENTIONAL,
                 tx=Point3(0, 0, 10),
                 panel=make_panel(),
             )
@@ -276,6 +272,13 @@ class TestMonteCarloStats:
         stats = monte_carlo_stats(scenario, Point3(30, 0, 10), 20000, seed=4)
         assert stats.p5_sinr_db < stats.mean_sinr_db < stats.p95_sinr_db
         assert stats.stddev_sinr_db > 0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        scenario = conventional_scenario(
+            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+        with pytest.raises(InvalidInputError, match="seed"):
+            monte_carlo_stats(scenario, Point3(30, 0, 10), 10, seed=seed)
 
 
 class TestComparePlacement:
