@@ -4,7 +4,7 @@ Configs are flat INI-style documents with sections ``channel``, ``geometry``,
 ``panel``, ``fading`` and ``sweep``. Powers are given in dBm and gains in dBi
 at this boundary; everything is converted to watts and linear gain here, once.
 An unknown section or key is rejected, so a typo cannot silently fall back
-to a default.
+to a default. Values are literal: ``%`` is not an interpolation marker.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _get(section: configparser.SectionProxy, key: str, kind=float, default=None)
             return float(raw)
         if kind is int:
             value = float(raw)
-            if value != int(value):
+            if not value.is_integer():  # also rejects nan and +-inf
                 raise ValueError
             return int(value)
         return raw.strip()
@@ -156,7 +156,7 @@ def _parse_sweep(section: configparser.SectionProxy) -> SweepSpec:
 
 def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
     """Parse and validate a configuration document into a runnable scenario."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

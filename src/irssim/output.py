@@ -1,10 +1,29 @@
-"""Result emission as plot-ready CSV or JSON."""
+"""Result emission as plot-ready CSV or JSON.
+
+Both formats are pinned byte for byte, and both are rendered with one ``%``
+template per result instead of per-row Python work:
+
+* JSON is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the list of
+  ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` renders
+  each result's header (label, variable, metadata) as the single element of a
+  list, which puts it at the nesting level it has in the full document; the
+  ``rows`` array is spliced in after it. A row value is written with
+  ``float.__repr__``, which is what ``json`` writes for a finite float. A result
+  holding a non-finite or non-float value is rendered by ``json.dumps`` whole,
+  so ``NaN``, ``Infinity`` and integers come out exactly as ``json`` writes them.
+* CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
+  the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
+  quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or line
+  break is written as it is.
+"""
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
-from typing import IO, List, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
@@ -13,39 +32,63 @@ CSV_HEADER = "scenario,x,rx_power_dbm,sinr_db,sinr_db_stddev"
 
 Destination = Union[str, Path, IO[str]]
 
-
-def _csv_lines(results: Sequence[SweepResult]) -> List[str]:
-    lines = [CSV_HEADER]
-    for result in results:
-        for row in result.rows:
-            lines.append(
-                f"{result.scenario_label},{row.x:.6f},{row.rx_power_dbm:.6f},"
-                f"{row.sinr_db:.6f},{row.sinr_db_stddev:.6f}")
-    return lines
+# one row of the "rows" array as json.dumps(indent=2) writes it at nesting level 3
+_JSON_ROW = "      [\n        %s,\n        %s,\n        %s,\n        %s\n      ]"
 
 
-def _json_payload(results: Sequence[SweepResult]) -> List[dict]:
-    return [
-        {
-            "label": result.scenario_label,
-            "variable": result.variable_name,
-            "metadata": result.metadata,
-            "rows": [
-                [row.x, row.rx_power_dbm, row.sinr_db, row.sinr_db_stddev]
-                for row in result.rows
-            ],
-        }
-        for result in results
-    ]
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes a field of a multi-field row (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_rows(result: SweepResult) -> str:
+    row = _csv_field(result.scenario_label).replace("%", "%%") + ",%.6f,%.6f,%.6f,%.6f"
+    return "\n".join([row] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
+
+
+def _in_list(obj: object) -> str:
+    """``obj`` as json.dumps(indent=2) writes the element of a top-level list."""
+    return json.dumps([obj], indent=2)[len("[\n  "):-len("\n]")]
+
+
+def _json_rows(result: SweepResult) -> Optional[str]:
+    """The rows array at nesting level 2, or None if a value is not a finite float."""
+    if not result.rows:
+        return "[]"
+    values = tuple(chain.from_iterable(result.rows))
+    try:
+        # a non-finite value makes the sum non-finite; a sum that merely
+        # overflows only sends the result down the exact json.dumps path
+        if not math.isfinite(sum(values)):
+            return None
+        reprs = tuple(map(float.__repr__, values))
+    except TypeError:
+        return None
+    return "[\n" + ",\n".join([_JSON_ROW] * len(result.rows)) % reprs + "\n    ]"
+
+
+def _json_result(result: SweepResult) -> str:
+    header = {
+        "label": result.scenario_label,
+        "variable": result.variable_name,
+        "metadata": result.metadata,
+    }
+    rows = _json_rows(result)
+    if rows is None:
+        return _in_list({**header, "rows": [list(row) for row in result.rows]})
+    return _in_list(header)[:-len("\n  }")] + ',\n    "rows": ' + rows + "\n  }"
 
 
 def render_results(results: Sequence[SweepResult], fmt: str) -> str:
     if not results:
         raise InvalidInputError("no results to emit")
     if fmt == "csv":
-        return "\n".join(_csv_lines(results)) + "\n"
+        parts = [CSV_HEADER] + [_csv_rows(result) for result in results if result.rows]
+        return "\n".join(parts) + "\n"
     if fmt == "json":
-        return json.dumps(_json_payload(results), indent=2) + "\n"
+        return "[\n  " + ",\n  ".join(map(_json_result, results)) + "\n]\n"
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 

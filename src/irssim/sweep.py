@@ -105,8 +105,9 @@ class SweepSpec:
         return [self.start + i * step for i in range(self.steps)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point of a sweep; iterates in field (and output column) order."""
+
     x: float
     rx_power_dbm: float
     sinr_db: float
@@ -265,11 +266,8 @@ def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
         raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
     stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
                       spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}")
-    rows = tuple(
-        SweepRow(x=x, rx_power_dbm=watts_to_dbm(power), sinr_db=mean, sinr_db_stddev=stddev)
-        for x, power, mean, stddev in zip(
-            grid, stats.power[0].tolist(), stats.sinr_db[0].tolist(),
-            stats.sinr_db_stddev[0].tolist()))
+    rows = tuple(map(SweepRow, grid, map(watts_to_dbm, stats.power[0].tolist()),
+                     stats.sinr_db[0].tolist(), stats.sinr_db_stddev[0].tolist()))
     return SweepResult(
         scenario_label=scenario.label,
         variable_name="distance_m",

@@ -1,5 +1,6 @@
 """Config parsing, result emission, and CLI behavior."""
 
+import csv
 import json
 import math
 import re
@@ -76,6 +77,16 @@ steps = 20
 trials = 10
 seed = 42
 """
+
+# integer key -> (its line in IRS_CONFIG, that line with the value left open)
+INTEGER_KEYS = {
+    "sweep.steps": ("steps = 20", "steps = {}"),
+    "sweep.trials": ("trials = 10", "trials = {}"),
+    "sweep.seed": ("trials = 10\nseed = 42", "trials = 10\nseed = {}"),
+    "fading.seed": ("mode = rayleigh\nseed = 42", "mode = rayleigh\nseed = {}"),
+    "panel.tx_side_elements": ("tx_side_elements = 100", "tx_side_elements = {}"),
+    "panel.rx_side_elements": ("rx_side_elements = 100", "rx_side_elements = {}"),
+}
 
 
 class TestParseScenario:
@@ -159,6 +170,19 @@ class TestParseScenario:
         text = CONVENTIONAL_CONFIG.replace("[geometry]", "model = friis\n\n[geometry]")
         scenario, _ = parse_scenario(text)
         assert scenario.conventional_model is ConventionalModel.FRIIS
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("name", list(INTEGER_KEYS))
+    def test_non_finite_integer_named(self, name, value):
+        old, new = INTEGER_KEYS[name]
+        assert IRS_CONFIG.count(old) == 1
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a int")):
+            parse_scenario(IRS_CONFIG.replace(old, new.format(value)))
+
+    def test_values_are_literal(self):
+        text = IRS_CONFIG.replace("irs = 50 0 10", "irs = 50 0 10\nlabel = 50% of %(mode)s")
+        scenario, _ = parse_scenario(text)
+        assert scenario.label == "50% of %(mode)s"
 
     def test_noise_requires_exactly_one_form(self):
         bad = CONVENTIONAL_CONFIG.replace(
@@ -260,6 +284,42 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload[0]["metadata"]["seed"] == 42
         assert len(payload[0]["rows"]) == 20
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_non_finite_integer_is_a_diagnostic(self, tmp_path, capsys, command):
+        config = tmp_path / "steps.ini"
+        config.write_text(CONVENTIONAL_CONFIG.replace("steps = 20", "steps = inf"))
+        args = ["sweep", "--config", str(config)] if command == "sweep" else [command, str(config)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sweep.steps must be a int, got 'inf'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_percent_label_reaches_output(self, tmp_path, fmt):
+        config = tmp_path / "load.ini"
+        config.write_text(
+            CONVENTIONAL_CONFIG.replace("tx = 0 0 10", "tx = 0 0 10\nlabel = 50% load"))
+        out = tmp_path / f"out.{fmt}"
+        assert main(["validate", str(config)]) == 0
+        assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            assert json.loads(out.read_text())[0]["label"] == "50% load"
+        else:
+            assert out.read_text().splitlines()[1].startswith("50% load,5.000000,")
+
+    def test_csv_label_with_comma_and_quote_is_quoted(self, tmp_path):
+        label = 'a"b é,x'
+        config = tmp_path / "quoted.ini"
+        config.write_text(
+            CONVENTIONAL_CONFIG.replace("tx = 0 0 10", f"tx = 0 0 10\nlabel = {label}"),
+            encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        with out.open(encoding="utf-8", newline="") as handle:
+            table = list(csv.reader(handle))
+        assert table[0] == CSV_HEADER.split(",")
+        assert len(table) == 21
+        assert all(len(row) == 5 and row[0] == label for row in table[1:])
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = tmp_path / "good.ini"

@@ -1,0 +1,145 @@
+"""The CSV and JSON renderers against the straightforward renderers they replace.
+
+The oracles below are the per-row renderers that ``irssim.output`` used to
+run: ``json.dumps(payload, indent=2)`` of the whole result list, and one
+f-string per row. The renderers must reproduce them byte for byte on any
+input, including non-finite values and awkward label, assumption and
+metadata text.
+"""
+
+import csv
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from irssim import SweepResult, SweepRow
+from irssim.output import CSV_HEADER, render_results
+
+CSV_SPECIAL = ',"\r\n'
+
+
+def json_oracle(results):
+    payload = [
+        {
+            "label": result.scenario_label,
+            "variable": result.variable_name,
+            "metadata": result.metadata,
+            "rows": [[row.x, row.rx_power_dbm, row.sinr_db, row.sinr_db_stddev]
+                     for row in result.rows],
+        }
+        for result in results
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def csv_oracle(results):
+    """The unquoted per-row renderer; exact for labels without CSV_SPECIAL characters."""
+    lines = [CSV_HEADER]
+    for result in results:
+        for row in result.rows:
+            lines.append(
+                f"{result.scenario_label},{row.x:.6f},{row.rx_power_dbm:.6f},"
+                f"{row.sinr_db:.6f},{row.sinr_db_stddev:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def csv_label(label):
+    """The label as csv.writer (excel dialect, QUOTE_MINIMAL) writes it in a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([label, "x"])
+    return buffer.getvalue()[:-len(",x\r\n")]
+
+
+AWKWARD_TEXT = ['"rows": null', '"rows": [', "\\", '"', "\\u00e9", "é", "日本", "\U0001f4e1",
+                "50% load", "%(name)s", "%s", "", "a,b", 'a"b é,x', "line\nbreak", "cr\rlf",
+                "\t", "\x00", " ", "  ]\n}"]
+texts = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text(max_size=12))
+special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
+                                  1e16, 1e-7, 0.1, 95.0])
+values = st.one_of(st.floats(), special_floats)
+finite_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          special_floats.filter(math.isfinite))
+metadata_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), values, texts),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(texts, children, max_size=3)),
+    max_leaves=8)
+metadata = st.one_of(
+    st.dictionaries(texts, metadata_values, max_size=4),
+    st.builds(lambda seed, notes: {"seed": seed, "trials": 1, "assumptions": notes},
+              st.integers(0, 2 ** 64 - 1), st.lists(texts, max_size=3)))
+
+
+def results_of(row_values, labels=texts):
+    rows = st.builds(SweepRow, row_values, row_values, row_values, row_values)
+    result = st.builds(
+        SweepResult, scenario_label=labels, variable_name=texts,
+        rows=st.one_of(st.just(()), st.tuples(rows), st.lists(rows, max_size=6).map(tuple)),
+        metadata=metadata)
+    return st.lists(result, min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(results_of(values))
+def test_json_matches_json_dumps(results):
+    assert render_results(results, "json") == json_oracle(results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(results_of(finite_values))
+def test_json_of_finite_rows_matches_json_dumps(results):
+    assert render_results(results, "json") == json_oracle(results)
+
+
+@settings(max_examples=150, deadline=None)
+@given(results_of(values, labels=texts.filter(lambda t: not any(c in t for c in CSV_SPECIAL))))
+def test_csv_matches_per_row_renderer(results):
+    assert render_results(results, "csv") == csv_oracle(results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(results_of(finite_values))
+def test_csv_reads_back_as_five_fields_with_the_label(results):
+    text = render_results(results, "csv")
+    table = list(csv.reader(io.StringIO(text, newline="")))
+    assert table[0] == CSV_HEADER.split(",")
+    expected = [[result.scenario_label, *(f"{v:.6f}" for v in row)]
+                for result in results for row in result.rows]
+    assert table[1:] == expected
+
+
+@given(texts)
+def test_csv_label_quoted_as_csv_writer_quotes_it(label):
+    row = SweepRow(1.0, 2.0, 3.0, 4.0)
+    text = render_results([SweepResult(label, "distance_m", (row,))], "csv")
+    body = text[len(CSV_HEADER) + 1:]
+    assert body == csv_label(label) + ",1.000000,2.000000,3.000000,4.000000\n"
+
+
+def test_json_keeps_integer_and_non_finite_values():
+    rows = (SweepRow(1, 2.5, math.nan, -math.inf), SweepRow(2.0, True, 3.0, math.inf))
+    result = SweepResult("mixed", "distance_m", rows, {"note": math.nan})
+    text = render_results([result], "json")
+    assert text == json_oracle([result])
+    assert "NaN" in text and "-Infinity" in text and "true" in text
+
+
+def test_empty_rows_render_as_the_oracle_does():
+    empty = SweepResult("empty", "distance_m", ())
+    one = SweepResult("one", "distance_m", (SweepRow(1.0, 2.0, 3.0, 4.0),))
+    for results in ([empty], [empty, one], [one, empty, one]):
+        assert render_results(results, "json") == json_oracle(results)
+        assert render_results(results, "csv") == csv_oracle(results)
+    assert render_results([empty], "csv") == CSV_HEADER + "\n"
+
+
+def test_sweep_row_is_a_named_tuple():
+    row = SweepRow(x=1.0, rx_power_dbm=-40.0, sinr_db=20.0, sinr_db_stddev=0.5)
+    assert tuple(row) == (1.0, -40.0, 20.0, 0.5)
+    assert row.sinr_db == 20.0
+    assert row == SweepRow(1.0, -40.0, 20.0, 0.5)
+    with pytest.raises(AttributeError):
+        row.x = 2.0

@@ -64,6 +64,10 @@ def test_dataclass_fields(cls):
     assert list(cls.__dataclass_fields__) == FIELDS[cls]
 
 
+def test_sweep_row_fields():
+    assert irssim.SweepRow._fields == ("x", "rx_power_dbm", "sinr_db", "sinr_db_stddev")
+
+
 @pytest.mark.parametrize("cls", [irssim.Point3, irssim.IrsPanel], ids=lambda cls: cls.__name__)
 def test_value_types_have_no_public_methods(cls):
     assert [name for name in vars(cls) if not name.startswith("_")] == []
