@@ -50,16 +50,17 @@ class ChannelParams:
     noise_power: float
 
     def __post_init__(self) -> None:
-        if not (self.carrier_frequency > 0):
+        if not (0 < self.carrier_frequency < math.inf):
             raise InvalidInputError(
-                f"carrier_frequency must be > 0, got {self.carrier_frequency!r}")
-        if not (self.tx_power > 0):
-            raise InvalidInputError(f"tx_power must be > 0, got {self.tx_power!r}")
-        if not (self.path_loss_exponent >= 0):
+                f"carrier_frequency must be finite and > 0, got {self.carrier_frequency!r}")
+        if not (0 < self.tx_power < math.inf):
+            raise InvalidInputError(f"tx_power must be finite and > 0, got {self.tx_power!r}")
+        if not (0 <= self.path_loss_exponent < math.inf):
             raise InvalidInputError(
-                f"path_loss_exponent must be >= 0, got {self.path_loss_exponent!r}")
-        if not (self.noise_power > 0):
-            raise InvalidInputError(f"noise_power must be > 0, got {self.noise_power!r}")
+                f"path_loss_exponent must be finite and >= 0, got {self.path_loss_exponent!r}")
+        if not (0 < self.noise_power < math.inf):
+            raise InvalidInputError(
+                f"noise_power must be finite and > 0, got {self.noise_power!r}")
 
     @property
     def wavelength(self) -> float:
@@ -85,12 +86,10 @@ class IrsPanel:
     theta_r: float
 
     def __post_init__(self) -> None:
-        if not (self.element_length > 0):
-            raise InvalidInputError(
-                f"element_length must be > 0, got {self.element_length!r}")
-        if not (self.element_width > 0):
-            raise InvalidInputError(
-                f"element_width must be > 0, got {self.element_width!r}")
+        for name in ("element_length", "element_width", "tx_gain", "rx_gain"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("tx_side_elements", "rx_side_elements"):
             count = getattr(self, name)
             if not isinstance(count, int) or count < 1:
@@ -98,10 +97,6 @@ class IrsPanel:
         if not (0 < self.reflection_coefficient <= 1):
             raise InvalidInputError(
                 f"reflection_coefficient must lie in (0, 1], got {self.reflection_coefficient!r}")
-        if not (self.tx_gain > 0):
-            raise InvalidInputError(f"tx_gain must be > 0, got {self.tx_gain!r}")
-        if not (self.rx_gain > 0):
-            raise InvalidInputError(f"rx_gain must be > 0, got {self.rx_gain!r}")
         for name in ("theta_t", "theta_r"):
             angle = getattr(self, name)
             if not (0 <= angle < 90):
@@ -138,11 +133,15 @@ def watts_to_dbm(watts: float) -> float:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    return ratio_from_db(dbm) * 1e-3
 
 
 def ratio_from_db(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10**(db/10), or inf where that overflows a float, so a range check rejects it."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # splitmix64 finalizer; counter-based so (seed, stream_index) fully

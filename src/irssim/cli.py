@@ -34,9 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--start", type=float, help="override sweep start distance (m)")
     sweep.add_argument("--stop", type=float, help="override sweep stop distance (m)")
     sweep.add_argument("--steps", type=int, help="override sweep step count")
-    sweep.add_argument("--conventional-model", choices=("paper", "friis"),
+    sweep.add_argument("--conventional-model", choices=[m.value for m in ConventionalModel],
                        help="direct-link formula variant")
-    sweep.add_argument("--fading", choices=("deterministic", "rayleigh"),
+    sweep.add_argument("--fading", choices=[m.value for m in FadingMode],
                        help="override the fading model")
 
     sub.add_parser("presets", help="list built-in experiments")
@@ -58,11 +58,8 @@ def _apply_overrides(scenario, spec, args):
         scenario = dataclasses.replace(
             scenario, conventional_model=ConventionalModel(args.conventional_model))
     if args.fading is not None:
-        if args.fading == "rayleigh":
-            fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=spec.seed)
-        else:
-            fading = FadingModel(mode=FadingMode.DETERMINISTIC)
-        scenario = dataclasses.replace(scenario, fading=fading)
+        scenario = dataclasses.replace(
+            scenario, fading=FadingModel(mode=FadingMode(args.fading), seed=spec.seed))
     return scenario, spec
 
 

@@ -4,13 +4,16 @@ Configs are flat INI-style documents with sections ``channel``, ``geometry``,
 ``panel``, ``fading`` and ``sweep``. Powers are given in dBm and gains in dBi
 at this boundary; everything is converted to watts and linear gain here, once.
 An unknown section or key is rejected, so a typo cannot silently fall back
-to a default. Values are literal: ``%`` is not an interpolation marker.
+to a default; an optional key that is absent is not passed on, so the
+``Scenario`` and ``SweepSpec`` defaults apply. Values are literal: ``%`` is
+not an interpolation marker.
 """
 
 from __future__ import annotations
 
 import configparser
-from typing import Optional, Tuple
+from dataclasses import astuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from irssim.channel import (
     ChannelParams,
@@ -26,136 +29,77 @@ from irssim.geometry import Point3
 from irssim.sinr import InterfererSet, thermal_noise_watts
 from irssim.sweep import Scenario, SweepSpec
 
-_ALLOWED_KEYS = {
-    "channel": ("frequency_hz", "tx_power_dbm", "path_loss_exponent", "noise_dbm",
-                "noise_bandwidth_hz", "interference_dbm", "model"),
-    "geometry": ("mode", "label", "tx", "irs", "rx_direction"),
-    "panel": ("element_length_m", "element_width_m", "tx_side_elements", "rx_side_elements",
-              "reflection_coefficient", "tx_gain_dbi", "rx_gain_dbi", "theta_t", "theta_r"),
-    "fading": ("mode", "seed"),
-    "sweep": ("start", "stop", "steps", "trials", "seed"),
+
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]  # raises ValueError on a malformed value
+    expected: str
+
+
+def _integer(raw: str) -> int:
+    """An integer literal, exactly; any other numeral only if whole and below 2**53."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+    if value.is_integer() and abs(value) < 2 ** 53:
+        return int(value)
+    raise ValueError(raw)
+
+
+def _point(raw: str) -> Point3:
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 3:
+        raise ValueError(raw)
+    return Point3(*map(float, parts))
+
+
+def _choice(enum) -> _Kind:
+    return _Kind(enum, " or ".join(repr(member.value) for member in enum))
+
+
+_FLOAT = _Kind(float, "a float")
+_INT = _Kind(_integer, "a int")
+_POINT = _Kind(_point, "three finite numbers 'x y z'")
+_DIRECTION = _Kind(lambda raw: astuple(_point(raw)), _POINT.expected)
+_TEXT = _Kind(str, "text")
+
+_KEYS: Dict[str, Dict[str, _Kind]] = {
+    "channel": {"frequency_hz": _FLOAT, "tx_power_dbm": _FLOAT, "path_loss_exponent": _FLOAT,
+                "noise_dbm": _FLOAT, "noise_bandwidth_hz": _FLOAT, "interference_dbm": _FLOAT,
+                "model": _choice(ConventionalModel)},
+    "geometry": {"mode": _TEXT, "label": _TEXT, "tx": _POINT, "irs": _POINT,
+                 "rx_direction": _DIRECTION},
+    "panel": {"element_length_m": _FLOAT, "element_width_m": _FLOAT, "tx_side_elements": _INT,
+              "rx_side_elements": _INT, "reflection_coefficient": _FLOAT,
+              "tx_gain_dbi": _FLOAT, "rx_gain_dbi": _FLOAT, "theta_t": _FLOAT,
+              "theta_r": _FLOAT},
+    "fading": {"mode": _choice(FadingMode), "seed": _INT},
+    "sweep": {"start": _FLOAT, "stop": _FLOAT, "steps": _INT, "trials": _INT, "seed": _INT},
 }
 
 
-def _get(section: configparser.SectionProxy, key: str, kind=float, default=None):
-    name = f"{section.name}.{key}"
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {name}")
-    raw = section[key]
-    try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            value = float(raw)
-            if not value.is_integer():  # also rejects nan and +-inf
-                raise ValueError
-            return int(value)
-        return raw.strip()
-    except ValueError:
-        raise ConfigError(f"{name} must be a {kind.__name__}, got {raw!r}") from None
+class _Section(dict):
+    """Parsed values of one section; reading an absent key names it."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"missing required key {self.name}.{key}")
+
+    def optional(self, **keywords: str) -> Dict[str, object]:
+        """keyword -> value for each keyword whose config key is present."""
+        return {keyword: self[key] for keyword, key in keywords.items() if key in self}
 
 
-def _get_point(section: configparser.SectionProxy, key: str) -> Point3:
-    name = f"{section.name}.{key}"
-    if key not in section:
-        raise ConfigError(f"missing required key {name}")
-    parts = section[key].replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"{name} must be three coordinates 'x y z', got {section[key]!r}")
-    try:
-        return Point3(*(float(p) for p in parts))
-    except (ValueError, InvalidInputError):
-        raise ConfigError(f"{name} must be three finite numbers, got {section[key]!r}") from None
-
-
-def _section(parser: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
-    if not parser.has_section(name):
+class _Document(dict):
+    def __missing__(self, name: str):
         raise ConfigError(f"missing required section [{name}]")
-    return parser[name]
 
 
-def _parse_channel(
-    section: configparser.SectionProxy,
-) -> Tuple[ChannelParams, ConventionalModel, InterfererSet]:
-    has_noise_dbm = "noise_dbm" in section
-    has_bandwidth = "noise_bandwidth_hz" in section
-    if has_noise_dbm == has_bandwidth:
-        raise ConfigError(
-            "channel noise requires exactly one of channel.noise_dbm, channel.noise_bandwidth_hz")
-    noise = (dbm_to_watts(_get(section, "noise_dbm"))
-             if has_noise_dbm
-             else thermal_noise_watts(_get(section, "noise_bandwidth_hz")))
-    model_name = _get(section, "model", str, default="paper")
-    try:
-        model = ConventionalModel(model_name)
-    except ValueError:
-        raise ConfigError(f"channel.model must be 'paper' or 'friis', got {model_name!r}") from None
-    try:
-        params = ChannelParams(
-            carrier_frequency=_get(section, "frequency_hz"),
-            tx_power=dbm_to_watts(_get(section, "tx_power_dbm")),
-            path_loss_exponent=_get(section, "path_loss_exponent"),
-            noise_power=noise,
-        )
-        interference = InterfererSet.constant(dbm_to_watts(_get(section, "interference_dbm")))
-    except InvalidInputError as exc:
-        raise ConfigError(f"channel: {exc}") from None
-    return params, model, interference
-
-
-def _parse_panel(section: configparser.SectionProxy) -> IrsPanel:
-    try:
-        return IrsPanel(
-            element_length=_get(section, "element_length_m"),
-            element_width=_get(section, "element_width_m"),
-            tx_side_elements=_get(section, "tx_side_elements", int),
-            rx_side_elements=_get(section, "rx_side_elements", int),
-            reflection_coefficient=_get(section, "reflection_coefficient"),
-            tx_gain=ratio_from_db(_get(section, "tx_gain_dbi")),
-            rx_gain=ratio_from_db(_get(section, "rx_gain_dbi")),
-            theta_t=_get(section, "theta_t"),
-            theta_r=_get(section, "theta_r"),
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(f"panel.{exc}") from None
-
-
-def _parse_fading(parser: configparser.ConfigParser, seed: int) -> FadingModel:
-    """Fading model; the sweep seed drives every draw, so fading.seed may only repeat it."""
-    if not parser.has_section("fading"):
-        return FadingModel(mode=FadingMode.DETERMINISTIC)
-    section = parser["fading"]
-    if "seed" in section:
-        fading_seed = _get(section, "seed", int)
-        if fading_seed != seed:
-            raise ConfigError(
-                f"fading.seed = {fading_seed} differs from sweep.seed = {seed}; "
-                "the sweep seed drives every draw, so drop fading.seed or make them equal")
-    mode_name = _get(section, "mode", str, default="deterministic")
-    if mode_name == "deterministic":
-        return FadingModel(mode=FadingMode.DETERMINISTIC)
-    if mode_name == "rayleigh":
-        return FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=seed)
-    raise ConfigError(f"fading.mode must be 'deterministic' or 'rayleigh', got {mode_name!r}")
-
-
-def _parse_sweep(section: configparser.SectionProxy) -> SweepSpec:
-    try:
-        return SweepSpec(
-            start=_get(section, "start"),
-            stop=_get(section, "stop"),
-            steps=_get(section, "steps", int),
-            trials=_get(section, "trials", int, default=1),
-            seed=_get(section, "seed", int, default=0),
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(f"sweep: {exc}") from None
-
-
-def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
-    """Parse and validate a configuration document into a runnable scenario."""
+def _read(text: str) -> _Document:
+    """Every value of the document, parsed to its kind; unknown names are rejected."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -163,54 +107,102 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
         raise ConfigError(f"malformed configuration: {exc}") from None
     if parser.defaults():
         raise ConfigError("section [DEFAULT] is not supported; set each key in its own section")
+    document = _Document()
     for name in parser.sections():
-        allowed = _ALLOWED_KEYS.get(name)
-        if allowed is None:
-            raise ConfigError(
-                f"unknown section [{name}]; expected one of {', '.join(_ALLOWED_KEYS)}")
-        for key in parser[name]:
-            if key not in allowed:
+        kinds = _KEYS.get(name)
+        if kinds is None:
+            raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(_KEYS)}")
+        section = document[name] = _Section(name)
+        for key, raw in parser[name].items():
+            kind = kinds.get(key)
+            if kind is None:
+                raise ConfigError(f"unknown key {name}.{key}; [{name}] accepts {', '.join(kinds)}")
+            try:
+                section[key] = kind.parse(raw)
+            except ValueError:
                 raise ConfigError(
-                    f"unknown key {name}.{key}; [{name}] accepts {', '.join(allowed)}")
+                    f"{name}.{key} must be {kind.expected}, got {raw!r}") from None
+    return document
 
-    channel, model, interference = _parse_channel(_section(parser, "channel"))
-    geometry = _section(parser, "geometry")
-    mode_name = _get(geometry, "mode", str)
-    if mode_name not in ("conventional", "irs"):
-        raise ConfigError(f"geometry.mode must be 'conventional' or 'irs', got {mode_name!r}")
 
-    tx = _get_point(geometry, "tx")
-    irs: Optional[Point3] = None
-    panel: Optional[IrsPanel] = None
-    if mode_name == "irs":
-        irs = _get_point(geometry, "irs")
-        panel = _parse_panel(_section(parser, "panel"))
-    else:
-        if parser.has_section("panel"):
-            raise ConfigError("section [panel] is not allowed when geometry.mode = conventional")
-        if "irs" in geometry:
-            raise ConfigError("geometry.irs is not allowed when geometry.mode = conventional")
+def _channel(channel: _Section) -> Tuple[ChannelParams, InterfererSet]:
+    if ("noise_dbm" in channel) == ("noise_bandwidth_hz" in channel):
+        raise ConfigError(
+            "channel noise requires exactly one of channel.noise_dbm, channel.noise_bandwidth_hz")
+    try:
+        params = ChannelParams(
+            carrier_frequency=channel["frequency_hz"],
+            tx_power=dbm_to_watts(channel["tx_power_dbm"]),
+            path_loss_exponent=channel["path_loss_exponent"],
+            noise_power=(dbm_to_watts(channel["noise_dbm"]) if "noise_dbm" in channel
+                         else thermal_noise_watts(channel["noise_bandwidth_hz"])),
+        )
+        interference = InterfererSet.constant(dbm_to_watts(channel["interference_dbm"]))
+    except InvalidInputError as exc:
+        raise ConfigError(f"channel: {exc}") from None
+    return params, interference
 
-    direction = (1.0, 0.0, 0.0)
-    if "rx_direction" in geometry:
-        point = _get_point(geometry, "rx_direction")
-        direction = (point.x, point.y, point.z)
 
-    spec = _parse_sweep(_section(parser, "sweep"))
-    fading = _parse_fading(parser, spec.seed)
-    label = _get(geometry, "label", str, default="scenario")
+def _panel(panel: _Section) -> IrsPanel:
+    try:
+        return IrsPanel(
+            element_length=panel["element_length_m"],
+            element_width=panel["element_width_m"],
+            tx_side_elements=panel["tx_side_elements"],
+            rx_side_elements=panel["rx_side_elements"],
+            reflection_coefficient=panel["reflection_coefficient"],
+            tx_gain=ratio_from_db(panel["tx_gain_dbi"]),
+            rx_gain=ratio_from_db(panel["rx_gain_dbi"]),
+            theta_t=panel["theta_t"],
+            theta_r=panel["theta_r"],
+        )
+    except InvalidInputError as exc:
+        raise ConfigError(f"panel.{exc}") from None
 
+
+def _check_link_mode(document: _Document) -> None:
+    """The link is IRS-assisted with geometry.irs and [panel], conventional with neither;
+    geometry.mode, if given, must say which."""
+    geometry = document["geometry"]
+    has_irs = "irs" in geometry
+    if has_irs != ("panel" in document):
+        raise ConfigError(
+            "geometry.irs and [panel] go together: set both for an IRS-assisted link, "
+            "neither for a conventional one")
+    mode = "irs" if has_irs else "conventional"
+    if geometry.get("mode", mode) != mode:
+        raise ConfigError(
+            f"geometry.mode is {geometry['mode']!r}, but geometry.irs and [panel] make the "
+            f"link {mode!r}; geometry.mode is optional, so drop it or make it agree")
+
+
+def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
+    """Parse and validate a configuration document into a runnable scenario."""
+    document = _read(text)
+    channel, geometry, sweep = document["channel"], document["geometry"], document["sweep"]
+    params, interference = _channel(channel)
+    _check_link_mode(document)
+    try:
+        spec = SweepSpec(start=sweep["start"], stop=sweep["stop"], steps=sweep["steps"],
+                         **sweep.optional(trials="trials", seed="seed"))
+    except InvalidInputError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
+
+    fading = document.get("fading", _Section("fading"))
+    if fading.get("seed", spec.seed) != spec.seed:
+        raise ConfigError(
+            f"fading.seed = {fading['seed']} differs from sweep.seed = {spec.seed}; "
+            "the sweep seed drives every draw, so drop fading.seed or make them equal")
     try:
         scenario = Scenario(
-            channel=channel,
-            fading=fading,
+            channel=params,
+            fading=FadingModel(seed=spec.seed, **fading.optional(mode="mode")),
             interference=interference,
-            tx=tx,
-            panel=panel,
-            irs=irs,
-            rx_direction=direction,
-            conventional_model=model,
-            label=label,
+            tx=geometry["tx"],
+            panel=_panel(document["panel"]) if "panel" in document else None,
+            irs=geometry.get("irs"),
+            **channel.optional(conventional_model="model"),
+            **geometry.optional(label="label", rx_direction="rx_direction"),
         )
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from None

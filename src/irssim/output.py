@@ -7,10 +7,11 @@ template per result instead of per-row Python work:
   ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` renders
   each result's header (label, variable, metadata) as the single element of a
   list, which puts it at the nesting level it has in the full document; the
-  ``rows`` array is spliced in after it. A row value is written with
-  ``float.__repr__``, which is what ``json`` writes for a finite float. A result
-  holding a non-finite or non-float value is rendered by ``json.dumps`` whole,
-  so ``NaN``, ``Infinity`` and integers come out exactly as ``json`` writes them.
+  ``rows`` array is spliced in after it. Row values must be JSON scalars
+  (numbers, booleans, ``None`` or strings): one compact ``json.dumps`` call
+  with a newline as item separator encodes them all, each token exactly as
+  ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
+  never occurs inside a token, so splitting on it recovers one token per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
   the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
   quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or line
@@ -20,10 +21,9 @@ template per result instead of per-row Python work:
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Sequence, Union
 
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
@@ -53,20 +53,13 @@ def _in_list(obj: object) -> str:
     return json.dumps([obj], indent=2)[len("[\n  "):-len("\n]")]
 
 
-def _json_rows(result: SweepResult) -> Optional[str]:
-    """The rows array at nesting level 2, or None if a value is not a finite float."""
+def _json_rows(result: SweepResult) -> str:
+    """The rows array at nesting level 2."""
     if not result.rows:
         return "[]"
-    values = tuple(chain.from_iterable(result.rows))
-    try:
-        # a non-finite value makes the sum non-finite; a sum that merely
-        # overflows only sends the result down the exact json.dumps path
-        if not math.isfinite(sum(values)):
-            return None
-        reprs = tuple(map(float.__repr__, values))
-    except TypeError:
-        return None
-    return "[\n" + ",\n".join([_JSON_ROW] * len(result.rows)) % reprs + "\n    ]"
+    tokens = json.dumps(tuple(chain.from_iterable(result.rows)), separators=("\n", ":"))
+    template = ",\n".join([_JSON_ROW] * len(result.rows))
+    return "[\n" + template % tuple(tokens[1:-1].split("\n")) + "\n    ]"
 
 
 def _json_result(result: SweepResult) -> str:
@@ -75,10 +68,7 @@ def _json_result(result: SweepResult) -> str:
         "variable": result.variable_name,
         "metadata": result.metadata,
     }
-    rows = _json_rows(result)
-    if rows is None:
-        return _in_list({**header, "rows": [list(row) for row in result.rows]})
-    return _in_list(header)[:-len("\n  }")] + ',\n    "rows": ' + rows + "\n  }"
+    return _in_list(header)[:-len("\n  }")] + ',\n    "rows": ' + _json_rows(result) + "\n  }"
 
 
 def render_results(results: Sequence[SweepResult], fmt: str) -> str:

@@ -91,4 +91,4 @@ def build_preset(name: str) -> Tuple[Scenario, SweepSpec]:
         label=name,
         assumptions=_DEFAULT_ASSUMPTIONS + assumptions,
     )
-    return scenario, SweepSpec(start=5.0, stop=CELL_RADIUS_M, steps=96, trials=1, seed=0)
+    return scenario, SweepSpec(start=5.0, stop=CELL_RADIUS_M, steps=96)

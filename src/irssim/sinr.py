@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple, Union
 
@@ -33,9 +34,9 @@ class InterfererSet:
     interferers: Tuple[Tuple[ChannelParams, Point3], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not (self.constant_power >= 0):
+        if not (0 <= self.constant_power < math.inf):
             raise InvalidInputError(
-                f"constant interference must be >= 0 W, got {self.constant_power!r}")
+                f"constant interference must be finite and >= 0 W, got {self.constant_power!r}")
 
     @classmethod
     def constant(cls, watts: float) -> "InterfererSet":

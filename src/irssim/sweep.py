@@ -93,6 +93,9 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise InvalidInputError(
+                f"sweep start and stop must be finite, got [{self.start!r}, {self.stop!r}]")
         if not (self.start < self.stop):
             raise InvalidInputError(
                 f"sweep start must be < stop, got [{self.start!r}, {self.stop!r}]")

@@ -10,9 +10,11 @@ from irssim import (
     ChannelParams,
     DegenerateGeometryError,
     FadingModel,
+    InterfererSet,
     InvalidInputError,
     IrsPanel,
     Point3,
+    SweepSpec,
     cascade_distances,
     conventional_rx_power,
     dbm_to_watts,
@@ -305,3 +307,23 @@ class TestValidation:
     def test_panel_ranges(self, field, value):
         with pytest.raises(InvalidInputError):
             make_panel(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("build,field", [
+        (make_params, "frequency"),
+        (make_params, "tx_power"),
+        (make_params, "alpha"),
+        (make_params, "noise"),
+        (make_panel, "element_length"),
+        (make_panel, "element_width"),
+        (make_panel, "tx_gain"),
+        (make_panel, "rx_gain"),
+        (lambda **kw: SweepSpec(**{"start": 1.0, "stop": 2.0, "steps": 5, **kw}), "start"),
+        (lambda **kw: SweepSpec(**{"start": 1.0, "stop": 2.0, "steps": 5, **kw}), "stop"),
+        (InterfererSet, "constant_power"),
+    ], ids=["carrier_frequency", "tx_power", "path_loss_exponent", "noise_power",
+            "element_length", "element_width", "tx_gain", "rx_gain", "sweep_start",
+            "sweep_stop", "constant_power"])
+    def test_non_finite_rejected(self, build, field, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            build(**{field: value})

@@ -9,18 +9,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irssim import (
+    ChannelParams,
     ConfigError,
+    FadingModel,
+    InterfererSet,
+    IrsPanel,
     PRESET_NAMES,
     Point3,
+    Scenario,
+    SweepSpec,
     build_preset,
     dbm_to_watts,
     emit_results,
     parse_scenario,
     run_distance_sweep,
+    thermal_noise_watts,
 )
-from irssim.channel import ConventionalModel, FadingMode
+from irssim.channel import ConventionalModel, FadingMode, ratio_from_db
 from irssim.cli import main
 from irssim.output import CSV_HEADER, render_results
 
@@ -179,6 +187,17 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be a int")):
             parse_scenario(IRS_CONFIG.replace(old, new.format(value)))
 
+    @pytest.mark.parametrize("old,new,name", [
+        ("tx_power_dbm = 30", "tx_power_dbm = 4000", "tx_power"),
+        ("noise_dbm = -94", "noise_dbm = inf", "noise_power"),
+        ("interference_dbm = -100", "interference_dbm = 4000", "constant interference"),
+        ("tx_gain_dbi = 10", "tx_gain_dbi = 4000", "tx_gain"),
+        ("stop = 100", "stop = inf", "stop"),
+    ])
+    def test_non_finite_parameter_named(self, old, new, name):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            parse_scenario(IRS_CONFIG.replace(old, new))
+
     def test_values_are_literal(self):
         text = IRS_CONFIG.replace("irs = 50 0 10", "irs = 50 0 10\nlabel = 50% of %(mode)s")
         scenario, _ = parse_scenario(text)
@@ -193,6 +212,139 @@ class TestParseScenario:
         scenario, _ = parse_scenario(thermal)
         assert scenario.channel.noise_power == pytest.approx(
             1.380649e-23 * 290.0 * 100e6, rel=1e-12)
+
+    def test_integer_literal_is_exact(self):
+        for seed in (9007199254740993, 2 ** 64 - 1):
+            scenario, spec = parse_scenario(
+                IRS_CONFIG.replace("seed = 42", f"seed = {seed}"))
+            assert spec.seed == scenario.fading.seed == seed
+
+    @pytest.mark.parametrize("value", ["9007199254740993.0", "1e16", "2.5"])
+    def test_inexact_numeral_rejected(self, value):
+        old, new = INTEGER_KEYS["sweep.seed"]
+        message = f"sweep.seed must be a int, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario(IRS_CONFIG.replace(old, new.format(value)))
+
+    @pytest.mark.parametrize("value,steps", [("1e2", 100), ("96.0", 96), ("+7", 7)])
+    def test_whole_numeral_accepted(self, value, steps):
+        _, spec = parse_scenario(IRS_CONFIG.replace("steps = 20", f"steps = {value}"))
+        assert spec.steps == steps
+
+    @pytest.mark.parametrize("config,mode", [(CONVENTIONAL_CONFIG, "conventional"),
+                                             (IRS_CONFIG, "irs")])
+    def test_mode_is_optional(self, config, mode):
+        assert parse_scenario(config.replace(f"mode = {mode}\n", "")) == parse_scenario(config)
+
+    @pytest.mark.parametrize("config,mode,wrong", [
+        (CONVENTIONAL_CONFIG, "conventional", "irs"),
+        (IRS_CONFIG, "irs", "conventional"),
+        (IRS_CONFIG, "irs", "IRS"),
+    ])
+    def test_mode_must_agree_with_geometry(self, config, mode, wrong):
+        with pytest.raises(ConfigError, match=r"geometry\.mode is '%s'.*make the link '%s'"
+                           % (wrong, mode)):
+            parse_scenario(config.replace(f"mode = {mode}\n", f"mode = {wrong}\n"))
+
+    def test_irs_without_panel_rejected(self):
+        text = IRS_CONFIG[:IRS_CONFIG.index("[panel]")] + IRS_CONFIG[IRS_CONFIG.index("[fading]"):]
+        with pytest.raises(ConfigError, match=r"geometry\.irs and \[panel\] go together"):
+            parse_scenario(text.replace("mode = irs\n", ""))
+
+
+finite = st.floats(-1e3, 1e3)
+positive = st.floats(1e-3, 1e3)
+points = st.tuples(finite, finite, finite)
+integers = st.integers(1, 10 ** 6)
+labels = st.text(alphabet="abcXYZ019_%()-.,", min_size=1, max_size=12)
+seeds = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 53 - 2, 2 ** 53 + 2))
+
+
+def optional(strategy):
+    """A value, or None for a key left out of the config."""
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def configs(draw):
+    """An INI document with valid values and the Scenario/SweepSpec built from them directly."""
+    channel = {"frequency_hz": draw(st.floats(1e6, 1e12)), "tx_power_dbm": draw(finite),
+               "path_loss_exponent": draw(st.floats(0, 6)),
+               "interference_dbm": draw(st.floats(-200, 100)),
+               "model": draw(optional(st.sampled_from(ConventionalModel)))}
+    noise_key = draw(st.sampled_from(["noise_dbm", "noise_bandwidth_hz"]))
+    channel[noise_key] = draw(finite if noise_key == "noise_dbm" else positive)
+    direction = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(
+        lambda v: tuple(map(float, v))))
+    geometry = {"tx": draw(points), "irs": draw(optional(points)), "label": draw(optional(labels)),
+                "rx_direction": draw(optional(st.just(direction)))}
+    geometry["mode"] = draw(optional(st.just("conventional" if geometry["irs"] is None
+                                             else "irs")))
+    panel = None if geometry["irs"] is None else {
+        "element_length_m": draw(positive), "element_width_m": draw(positive),
+        "tx_side_elements": draw(integers), "rx_side_elements": draw(integers),
+        "reflection_coefficient": draw(st.floats(1e-3, 1)),
+        "tx_gain_dbi": draw(st.floats(-50, 50)), "rx_gain_dbi": draw(st.floats(-50, 50)),
+        "theta_t": draw(st.floats(0, 89.9)), "theta_r": draw(st.floats(0, 89.9))}
+    start = draw(positive)
+    sweep = {"start": start, "stop": start + draw(positive),
+             "steps": draw(st.integers(2, 10 ** 4)), "trials": draw(optional(integers)),
+             "seed": draw(optional(seeds))}
+    fading = draw(optional(st.fixed_dictionaries({
+        "mode": optional(st.sampled_from(FadingMode)),
+        "seed": optional(st.just(sweep["seed"] or 0))})))
+
+    def ini(name, section):
+        lines = [f"[{name}]"]
+        for key, value in section.items():
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                value = " ".join(map(repr, value))
+            elif isinstance(value, (float, int)):
+                value = repr(value)
+            lines.append(f"{key} = {getattr(value, 'value', value)}")
+        return "\n".join(lines)
+
+    sections = [("channel", channel), ("geometry", geometry), ("panel", panel),
+                ("fading", fading), ("sweep", sweep)]
+    text = "\n\n".join(ini(name, section) for name, section in sections if section is not None)
+
+    def present(section, **names):
+        return {arg: section[key] for arg, key in names.items() if section.get(key) is not None}
+
+    spec = SweepSpec(start=sweep["start"], stop=sweep["stop"], steps=sweep["steps"],
+                     **present(sweep, trials="trials", seed="seed"))
+    noise = (dbm_to_watts(channel["noise_dbm"]) if noise_key == "noise_dbm"
+             else thermal_noise_watts(channel["noise_bandwidth_hz"]))
+    scenario = Scenario(
+        channel=ChannelParams(carrier_frequency=channel["frequency_hz"],
+                              tx_power=dbm_to_watts(channel["tx_power_dbm"]),
+                              path_loss_exponent=channel["path_loss_exponent"],
+                              noise_power=noise),
+        fading=FadingModel(seed=spec.seed, **present(fading or {}, mode="mode")),
+        interference=InterfererSet.constant(dbm_to_watts(channel["interference_dbm"])),
+        tx=Point3(*geometry["tx"]),
+        panel=None if panel is None else IrsPanel(
+            element_length=panel["element_length_m"], element_width=panel["element_width_m"],
+            tx_side_elements=panel["tx_side_elements"],
+            rx_side_elements=panel["rx_side_elements"],
+            reflection_coefficient=panel["reflection_coefficient"],
+            tx_gain=ratio_from_db(panel["tx_gain_dbi"]),
+            rx_gain=ratio_from_db(panel["rx_gain_dbi"]),
+            theta_t=panel["theta_t"], theta_r=panel["theta_r"]),
+        irs=None if geometry["irs"] is None else Point3(*geometry["irs"]),
+        **present(channel, conventional_model="model"),
+        **present(geometry, label="label", rx_direction="rx_direction"),
+    )
+    return text, scenario, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_config_round_trip(case):
+    text, scenario, spec = case
+    assert parse_scenario(text) == (scenario, spec)
 
 
 class TestPresets:
@@ -320,6 +472,13 @@ class TestCli:
         assert table[0] == CSV_HEADER.split(",")
         assert len(table) == 21
         assert all(len(row) == 5 and row[0] == label for row in table[1:])
+
+    def test_validate_rejects_infinite_stop(self, tmp_path, capsys):
+        config = tmp_path / "stop.ini"
+        config.write_text(CONVENTIONAL_CONFIG.replace("stop = 100", "stop = inf"))
+        assert main(["validate", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep: sweep start and stop must be finite, got [5.0, inf]\n")
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = tmp_path / "good.ini"
