@@ -6,9 +6,13 @@ reflector positions against P receivers over T fading trials. Every random
 draw is a pure function of (seed, stream index): trial t at receiver p uses
 index p*T + t, and the interferer draws follow the layout of
 :func:`irssim.sinr.aggregate_interference`, so every reflector position sees
-the same draws (common random numbers). The kernel walks the receivers in
-chunks sized by memory; a chunk never splits one receiver's trials, so
-results are bit-identical at any chunk size.
+the same draws (common random numbers). The noise-plus-interference power
+depends on the receiver only, so in dB the per-trial SINR is the position's
+unit-fading signal plus a fading term shared by all positions. The kernel
+therefore reduces the (P, T) fading terms once, walking the receivers in
+chunks sized by memory, and then shifts those statistics by each position's
+signal: (P, T) work plus a (K, P) shift. A chunk never splits one receiver's
+trials, so results are bit-identical at any chunk size.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from irssim.errors import DegenerateGeometryError, InvalidInputError
 from irssim.geometry import Point3, cascade_distances, distance
 from irssim.sinr import InterfererSet, aggregate_interference
 
-# elements of the (K, P, T) work block the kernel holds at once (512 KiB);
-# a receiver whose K*T trials exceed it gets a chunk of its own
+# elements of the (receiver, trial) block of fading draws the kernel holds at
+# once (512 KiB); a receiver with more trials gets a chunk of its own
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -152,7 +156,11 @@ class PlacementReport:
 
 
 class _LinkStats(NamedTuple):
-    """Per (reflector position, receiver) statistics over the fading trials."""
+    """Per (reflector position, receiver) statistics over the fading trials.
+
+    The stddev does not depend on the position: it is one (P,) row, broadcast
+    read-only over K.
+    """
 
     power: np.ndarray  # (K, P) mean received power, W
     sinr_db: np.ndarray  # (K, P) mean of the per-trial SINR in dB
@@ -188,7 +196,9 @@ def _evaluate(
     ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
     has shape (P, 3). Each pair is scored over ``trials`` fading draws seeded
     by ``seed``; deterministic fading evaluates one trial, since all are
-    identical. A degenerate pair is reported as ``where(k, p)``.
+    identical. A degenerate pair, or one whose unit-fading power is 0 W or
+    infinite (a link budget outside the float range), is reported as
+    ``where(k, p)``.
     """
     fading = scenario.fading
     if fading.is_random:
@@ -196,7 +206,9 @@ def _evaluate(
     else:
         trials = 1
     try:
-        signal = _signal_power(scenario, irs, rx)
+        # a link budget beyond the float range is reported below, not warned about
+        with np.errstate(over="ignore"):
+            signal = _signal_power(scenario, irs, rx)
         interference = aggregate_interference(
             scenario.interference, rx, fading, scenario.conventional_model)
     except DegenerateGeometryError:
@@ -208,37 +220,49 @@ def _evaluate(
             except DegenerateGeometryError as exc:
                 raise DegenerateGeometryError(f"{where(k, p)}: {exc}") from exc
         raise
+    bad = np.argwhere(~((signal > 0) & (signal < math.inf)))
+    if len(bad):
+        k, p = bad[0].tolist()
+        raise InvalidInputError(
+            f"{where(k, p)}: received power {float(signal[k, p])!r} W is outside the float range;"
+            " check the link budget")
     denominator = np.broadcast_to(interference + scenario.channel.noise_power, (len(rx),))
 
-    k_count, p_count = signal.shape
-    step = max(1, _CHUNK_ELEMENTS // (k_count * trials))
-    work = np.empty(k_count * min(step, p_count) * trials)
-    stats = _LinkStats(
-        power=np.empty((k_count, p_count)),
-        sinr_db=np.empty((k_count, p_count)),
-        sinr_db_stddev=np.empty((k_count, p_count)),
-        percentiles=np.empty((len(percentiles), k_count, p_count)),
-    )
+    # the draws and the denominator depend on the receiver only, so the trial
+    # part of the per-trial SINR in dB, 10*log10(gain / denominator), is shared
+    # by every reflector position; reduce it over the trials once per receiver
+    p_count = len(rx)
+    mean_gain = np.empty(p_count)
+    fade_db = np.empty(p_count)
+    stddev = np.empty(p_count)
+    fade_percentiles = np.empty((len(percentiles), p_count))
+    step = max(1, _CHUNK_ELEMENTS // trials)
     for first in range(0, p_count, step):
         chunk = slice(first, min(first + step, p_count))
         n = chunk.stop - first
-        gains = sample_fading_block(fading, first * trials, n * trials).reshape(n, trials)
-        block = work[:k_count * n * trials].reshape(k_count, n, trials)
-        np.multiply(signal[:, chunk, None], gains, out=block)
-        block.mean(axis=-1, out=stats.power[:, chunk])
+        block = sample_fading_block(fading, first * trials, n * trials).reshape(n, trials)
+        block.mean(axis=-1, out=mean_gain[chunk])
         np.divide(block, denominator[chunk, None], out=block)
         np.log10(block, out=block)
         np.multiply(block, 10.0, out=block)
-        mean_db = block.mean(axis=-1, out=stats.sinr_db[:, chunk])
+        mean_db = block.mean(axis=-1, out=fade_db[chunk])
         if len(percentiles):
-            stats.percentiles[:, :, chunk] = np.percentile(block, percentiles, axis=-1)
+            fade_percentiles[:, chunk] = np.percentile(block, percentiles, axis=-1)
         # population stddev, step for step as numpy.std, without its temporary
-        np.subtract(block, mean_db[:, :, None], out=block)
+        np.subtract(block, mean_db[:, None], out=block)
         np.square(block, out=block)
-        spread = block.sum(axis=-1, out=stats.sinr_db_stddev[:, chunk])
+        spread = block.sum(axis=-1, out=stddev[chunk])
         np.divide(spread, trials, out=spread)
         np.sqrt(spread, out=spread)
-    return stats
+
+    # then shift by each position's unit-fading signal, (K, P) work
+    signal_db = 10.0 * np.log10(signal)
+    return _LinkStats(
+        power=signal * mean_gain,
+        sinr_db=signal_db + fade_db,
+        sinr_db_stddev=np.broadcast_to(stddev, signal.shape),
+        percentiles=signal_db + fade_percentiles[:, None, :],
+    )
 
 
 def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
@@ -341,16 +365,14 @@ def compare_placement(
     stats = _evaluate(
         scenario, _as_array(irs_positions), _as_array(rx_positions), spec.trials, spec.seed,
         where=lambda k, p: f"placement (irs={irs_positions[k]}, rx={rx_positions[p]})")
-    entries = [
-        PlacementEntry(
-            irs_position=irs,
-            per_rx_sinr_db=tuple(per_rx),
-            min_sinr_db=min(per_rx),
-            mean_sinr_db=sum(per_rx) / len(per_rx),
-            max_sinr_db=max(per_rx),
-        )
-        for irs, per_rx in zip(irs_positions, stats.sinr_db.tolist())]
-    entries.sort(key=lambda e: e.min_sinr_db, reverse=True)
+    sinr_db = stats.sinr_db
+    # adding the rows of the transpose in order is the sequential sum that
+    # sum(per_rx) makes, so the mean matches it bit for bit
+    means = np.add.reduce(np.ascontiguousarray(sinr_db.T), axis=0) / sinr_db.shape[1]
+    entries = sorted(
+        map(PlacementEntry, irs_positions, map(tuple, sinr_db.tolist()),
+            sinr_db.min(axis=1).tolist(), means.tolist(), sinr_db.max(axis=1).tolist()),
+        key=lambda e: e.min_sinr_db, reverse=True)
     return PlacementReport(
         entries=tuple(entries),
         metadata=_base_metadata(scenario, spec),

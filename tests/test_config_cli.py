@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,15 @@ trials = 10
 seed = 42
 """
 
+
+def readme_config() -> str:
+    """The example config of README.md, its only ini block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 # integer key -> (its line in IRS_CONFIG, that line with the value left open)
 INTEGER_KEYS = {
     "sweep.steps": ("steps = 20", "steps = {}"),
@@ -108,10 +118,7 @@ class TestParseScenario:
         assert spec.steps == 20
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
-        assert len(blocks) == 1
-        scenario, spec = parse_scenario(blocks[0])
+        scenario, spec = parse_scenario(readme_config())
         assert scenario.irs == Point3(50, 0, 10)
         assert scenario.fading.mode is FadingMode.RAYLEIGH_EXPONENTIAL
         assert spec.trials == 100
@@ -479,6 +486,45 @@ class TestCli:
         assert main(["validate", str(config)]) == 1
         assert capsys.readouterr().err == (
             "error: sweep: sweep start and stop must be finite, got [5.0, inf]\n")
+
+    @pytest.mark.parametrize("changes,power", [
+        ({"tx_power_dbm = 30": "tx_power_dbm = -3200"}, "0.0"),
+        ({"tx_power_dbm = 30": "tx_power_dbm = 3070", "_gain_dbi = 10": "_gain_dbi = 200"}, "inf"),
+    ])
+    def test_link_budget_outside_float_range_is_a_diagnostic(
+            self, tmp_path, capsys, changes, power):
+        text = readme_config()
+        for old, new in changes.items():
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "budget.ini"
+        config.write_text(text)
+        assert main(["validate", str(config)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep point x=5.0: received power {power} W is outside the float range;"
+            " check the link budget\n")
+
+    def test_huge_finite_link_budget_gives_finite_rows(self, tmp_path, capsys):
+        # no reflector, 3070 dBm (1e304 W): the SINR ratio itself exceeds the
+        # float range, its dB value does not
+        text = re.sub(r"\[panel\].*?\n\n", "", readme_config(), flags=re.DOTALL)
+        text = text.replace("irs = 50 0 10\n", "").replace(
+            "tx_power_dbm = 30", "tx_power_dbm = 3070")
+        assert "[panel]" not in text and "irs" not in text
+        config = tmp_path / "huge.ini"
+        config.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(config)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 96
+        values = [float(v) for row in rows for v in row.split(",")[1:]]
+        assert all(math.isfinite(v) for v in values)
+        assert float(rows[0].split(",")[3]) > 3000.0
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = tmp_path / "good.ini"

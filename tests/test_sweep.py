@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,11 +206,34 @@ class TestChunkInvariance:
             SweepSpec(start=1.0, stop=2.0, steps=2, trials=30, seed=7))
         return sweep.rows, placement.entries
 
-    # 1 element: one receiver per chunk; 700: placement chunks of 3, 3 and 2
-    # receivers (6 positions x 30 trials each); 10**9: the whole grid at once
-    @pytest.mark.parametrize("elements", [1, 700])
+    # chunks count trials only. 1 element: one receiver per chunk; 100: sweep
+    # chunks of 5, 5, 5 and 1 grid points (20 trials each) and placement chunks
+    # of 3, 3 and 2 receivers (30 trials each); 10**9: the whole grid at once
+    @pytest.mark.parametrize("elements", [1, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, elements):
         assert self.outputs(monkeypatch, elements) == self.outputs(monkeypatch, 10**9)
+
+
+class TestSharedFading:
+    """The trial part of the SINR depends on the receiver only, never on the position."""
+
+    def test_statistics_shift_with_the_signal_alone(self):
+        interferers = InterfererSet.modeled([(make_channel(), Point3(120, 0, 10))])
+        scenario = dataclasses.replace(
+            irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=3)),
+            interference=interferers)
+        irs = sweep_module._as_array([Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)])
+        rx = sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)])
+        stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "",
+                                       percentiles=(5, 50, 95))
+        signal_db = 10.0 * np.log10(sweep_module._signal_power(scenario, irs, rx))
+        assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
+        assert np.all(stats.sinr_db_stddev == stats.sinr_db_stddev[0])
+        assert np.all(stats.sinr_db_stddev[0] > 0)
+        for values in (stats.sinr_db, *stats.percentiles):
+            fade = values - signal_db
+            np.testing.assert_allclose(fade, np.broadcast_to(fade[0], fade.shape),
+                                       rtol=0, atol=1e-12)
 
 
 class TestAngleSweep:
@@ -341,3 +365,52 @@ class TestComparePlacement:
         with pytest.raises(InvalidInputError):
             compare_placement(
                 conventional_scenario(), [Point3(1, 0, 0)], [Point3(2, 0, 0)], self.spec)
+
+    @pytest.mark.parametrize("candidates,receivers", [(60, 37), (5, 1)])
+    def test_summaries_match_python_reductions(self, candidates, receivers):
+        rng = np.random.default_rng(candidates)
+        irs_positions = [Point3(float(x), float(y), 10.0)
+                         for x, y in rng.uniform(-100.0, 100.0, (candidates, 2))]
+        rx_positions = [Point3(float(x), float(y), 1.5)
+                        for x, y in rng.uniform(-100.0, 100.0, (receivers, 2))]
+        scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+        report = compare_placement(scenario, irs_positions, rx_positions,
+                                   dataclasses.replace(self.spec, trials=8, seed=5))
+        for entry in report.entries:
+            per_rx = entry.per_rx_sinr_db
+            assert len(per_rx) == receivers
+            assert entry.min_sinr_db == min(per_rx)
+            assert entry.max_sinr_db == max(per_rx)
+            assert entry.mean_sinr_db == sum(per_rx) / len(per_rx)
+        # best first, ties in input order
+        by_position = {entry.irs_position: entry for entry in report.entries}
+        in_input_order = [by_position[p] for p in irs_positions]
+        assert list(report.entries) == sorted(
+            in_input_order, key=lambda e: e.min_sinr_db, reverse=True)
+
+    def test_memory_does_not_scale_with_candidates_times_trials(self):
+        scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+        irs_positions = [Point3(20.0 + 0.2 * k, 5.0, 10.0) for k in range(400)]
+        rx_positions = [Point3(30.0 * k, 10.0, 1.5) for k in range(1, 5)]
+        spec = dataclasses.replace(self.spec, trials=2000, seed=1)
+        tracemalloc.start()
+        try:
+            compare_placement(scenario, irs_positions, rx_positions, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all 400 x 2000 per-trial SINRs of even one receiver would take 6.4 MB
+        assert peak < 1_000_000
+
+    def test_link_budget_outside_float_range_named(self):
+        # 1e-314 W reaches the near receivers as a subnormal power and
+        # underflows to 0 W at the far ones
+        scenario = dataclasses.replace(
+            irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
+        rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
+        signal = sweep_module._signal_power(
+            scenario, sweep_module._as_array([scenario.irs]), sweep_module._as_array(rx_positions))
+        assert signal[0, 0] > 0 and signal[0, 1] > 0 and signal[0, 2] == 0
+        with pytest.raises(InvalidInputError,
+                           match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
+            compare_placement(scenario, [scenario.irs], rx_positions, self.spec)
