@@ -129,7 +129,11 @@ def wavelength(frequency: float) -> float:
 def watts_to_dbm(watts: float) -> float:
     if not (watts > 0):
         raise InvalidInputError(f"power must be > 0 W for dBm conversion, got {watts!r}")
-    return 10.0 * math.log10(watts / 1e-3)
+    milliwatts = watts / 1e-3
+    if milliwatts < math.inf:
+        return 10.0 * math.log10(milliwatts)
+    # a finite power above about 1.8e305 W overflows in milliwatts
+    return 10.0 * (math.log10(watts) + 3.0)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -151,39 +155,70 @@ _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _uniform_open(seed: int, start_index: int, count: int) -> np.ndarray:
-    """Deterministic uniforms on the open interval (0, 1), one per stream index.
+# draws are made in blocks of this many stream indices (256 KiB of state),
+# so every step of the hash and the logarithm runs on cache-resident data
+_HASH_BLOCK = 1 << 15
+# j * gamma for j < _HASH_BLOCK: the counter state of a block starting at index
+# i is (i + 1) * gamma + seed plus this row, modulo 2**64 as in splitmix64
+_COUNTER_STEPS = np.arange(_HASH_BLOCK, dtype=np.uint64)
+_COUNTER_STEPS *= _SM64_GAMMA
 
-    Works in place on one counter array and one scratch array, so a block
-    costs three arrays of its size at most.
+
+def _exponential_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Unit-mean exponential draws for stream indices start_index, ... into out.
+
+    Hashes the splitmix64 state in place in ``out``, viewed as integers, with
+    ``scratch`` (at least len(out) integers) holding the shifted state.
     """
-    z = np.arange(start_index + 1, start_index + count + 1, dtype=np.uint64)
-    z *= _SM64_GAMMA
-    z += np.uint64(seed)
-    scratch = np.empty_like(z)
+    count = len(out)
+    z = out.view(np.uint64)
+    scratch = scratch[:count]
+    first = (start_index + 1) * int(_SM64_GAMMA) + seed
+    np.add(_COUNTER_STEPS[:count], np.uint64(first % 2 ** 64), out=z)
     for shift, multiplier in ((30, _SM64_M1), (27, _SM64_M2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch
         if multiplier is not None:
             z *= multiplier
-    del scratch
-    # top 53 bits, offset by half an ulp to avoid both endpoints
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+    # top 53 bits, offset by half an ulp to avoid both endpoints of (0, 1)
+    np.right_shift(z, np.uint64(11), out=scratch)
+    np.copyto(out, scratch, casting="unsafe")
+    out += 0.5
+    out *= 2.0 ** -53
+    np.log(out, out=out)
+    np.negative(out, out=out)
 
 
-def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
-    """Fading gains for stream indices start_index .. start_index+count-1."""
+def sample_fading_block(
+    model: FadingModel,
+    start_index: int,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    *,
+    _scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Fading gains for stream indices start_index .. start_index+count-1.
+
+    The gains are written to ``out`` (float64, contiguous, of length count)
+    when given, else to a new array; either way the bytes are the same.
+    """
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count!r}")
+    if out is None:
+        out = np.empty(count)
+    elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InvalidInputError(
+            f"out must be a contiguous float64 array of shape ({count},),"
+            f" got {out.dtype} {out.shape}")
     if model.mode is FadingMode.DETERMINISTIC:
-        return np.ones(count)
-    gains = _uniform_open(int(model.seed), start_index, count)
-    np.log(gains, out=gains)
-    return np.negative(gains, out=gains)
+        out.fill(1.0)
+        return out
+    if _scratch is None:
+        _scratch = np.empty(min(count, _HASH_BLOCK), dtype=np.uint64)
+    seed = int(model.seed)
+    for first in range(0, count, _HASH_BLOCK):
+        _exponential_block(seed, start_index + first, out[first:first + _HASH_BLOCK], _scratch)
+    return out
 
 
 def _all_positive(value: Union[float, np.ndarray]) -> bool:

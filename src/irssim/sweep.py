@@ -13,12 +13,21 @@ therefore reduces the (P, T) fading terms once, walking the receivers in
 chunks sized by memory, and then shifts those statistics by each position's
 signal: (P, T) work plus a (K, P) shift. A chunk never splits one receiver's
 trials, so results are bit-identical at any chunk size.
+
+A pass of two or more chunks is split into contiguous ranges of chunks, one
+per worker thread, over at most the CPUs the process may use (its affinity
+mask) and at most half the chunks; the numpy loops of each worker release the
+interpreter lock. Each receiver's statistics are a pure function of its own
+draws, so the bytes are identical at any worker count; ``taskset -c 0`` runs
+the pass serially.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -29,6 +38,7 @@ from irssim.channel import (
     ConventionalModel,
     FadingModel,
     IrsPanel,
+    _HASH_BLOCK,
     conventional_rx_power,
     irs_rx_power,
     sample_fading_block,
@@ -38,9 +48,12 @@ from irssim.errors import DegenerateGeometryError, InvalidInputError
 from irssim.geometry import Point3, cascade_distances, distance
 from irssim.sinr import InterfererSet, aggregate_interference
 
-# elements of the (receiver, trial) block of fading draws the kernel holds at
+# elements of the (receiver, trial) block of fading draws a worker holds at
 # once (512 KiB); a receiver with more trials gets a chunk of its own
 _CHUNK_ELEMENTS = 1 << 16
+# the CPUs this process may run on: the most workers a fading pass starts
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -227,42 +240,91 @@ def _evaluate(
             f"{where(k, p)}: received power {float(signal[k, p])!r} W is outside the float range;"
             " check the link budget")
     denominator = np.broadcast_to(interference + scenario.channel.noise_power, (len(rx),))
+    fade = _FadingPass(fading, denominator, trials, percentiles)
 
-    # the draws and the denominator depend on the receiver only, so the trial
-    # part of the per-trial SINR in dB, 10*log10(gain / denominator), is shared
-    # by every reflector position; reduce it over the trials once per receiver
-    p_count = len(rx)
-    mean_gain = np.empty(p_count)
-    fade_db = np.empty(p_count)
-    stddev = np.empty(p_count)
-    fade_percentiles = np.empty((len(percentiles), p_count))
+    # the receivers' chunks, split into one contiguous range per worker; the
+    # caller is worker 0 and allocates every buffer the pass needs
     step = max(1, _CHUNK_ELEMENTS // trials)
-    for first in range(0, p_count, step):
-        chunk = slice(first, min(first + step, p_count))
-        n = chunk.stop - first
-        block = sample_fading_block(fading, first * trials, n * trials).reshape(n, trials)
-        block.mean(axis=-1, out=mean_gain[chunk])
-        np.divide(block, denominator[chunk, None], out=block)
-        np.log10(block, out=block)
-        np.multiply(block, 10.0, out=block)
-        mean_db = block.mean(axis=-1, out=fade_db[chunk])
-        if len(percentiles):
-            fade_percentiles[:, chunk] = np.percentile(block, percentiles, axis=-1)
-        # population stddev, step for step as numpy.std, without its temporary
-        np.subtract(block, mean_db[:, None], out=block)
-        np.square(block, out=block)
-        spread = block.sum(axis=-1, out=stddev[chunk])
-        np.divide(spread, trials, out=spread)
-        np.sqrt(spread, out=spread)
+    chunks = [slice(first, min(first + step, len(rx))) for first in range(0, len(rx), step)]
+    workers = max(1, min(_WORKERS, len(chunks) // 2))
+    rows = np.empty((workers, min(step, len(rx)) * trials))
+    scratch = np.empty((workers, min(rows.shape[1], _HASH_BLOCK)), dtype=np.uint64)
+    ranges = [chunks[len(chunks) * w // workers:len(chunks) * (w + 1) // workers]
+              for w in range(workers)]
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=fade.run, args=(ranges[w], rows[w], scratch[w]))
+            thread.start()
+            started.append(thread)
+        fade.run(ranges[0], rows[0], scratch[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if fade.errors:
+        raise fade.errors[0]
 
     # then shift by each position's unit-fading signal, (K, P) work
     signal_db = 10.0 * np.log10(signal)
     return _LinkStats(
-        power=signal * mean_gain,
-        sinr_db=signal_db + fade_db,
-        sinr_db_stddev=np.broadcast_to(stddev, signal.shape),
-        percentiles=signal_db + fade_percentiles[:, None, :],
+        power=signal * fade.mean_gain,
+        sinr_db=signal_db + fade.fade_db,
+        sinr_db_stddev=np.broadcast_to(fade.stddev, signal.shape),
+        percentiles=signal_db + fade.percentiles[:, None, :],
     )
+
+
+class _FadingPass:
+    """The per-receiver reduction of the fading pass, filled chunk by chunk.
+
+    The draws and the noise-plus-interference power depend on the receiver
+    only, so the trial part of the per-trial SINR in dB,
+    10*log10(gain / denominator), is shared by every reflector position: it
+    is reduced over the trials once per receiver. Each chunk writes only its
+    own receivers' entries, so workers may fill disjoint chunks concurrently.
+    """
+
+    def __init__(self, fading: FadingModel, denominator: np.ndarray, trials: int,
+                 percentiles: Sequence[float]) -> None:
+        p_count = len(denominator)
+        self.fading = fading
+        self.denominator = denominator
+        self.trials = trials
+        self.levels = percentiles
+        self.mean_gain = np.empty(p_count)
+        self.fade_db = np.empty(p_count)
+        self.stddev = np.empty(p_count)
+        self.percentiles = np.empty((len(percentiles), p_count))
+        self.errors: List[BaseException] = []
+
+    def run(self, chunks: Sequence[slice], row: np.ndarray, scratch: np.ndarray) -> None:
+        """Reduce the chunks in order in the buffers ``row`` and ``scratch``,
+        recording an exception instead of raising it, so the caller can wait
+        for every worker before it raises."""
+        try:
+            for chunk in chunks:
+                self._reduce(chunk, row, scratch)
+        except BaseException as exc:  # re-raised by _evaluate once all workers end
+            self.errors.append(exc)
+
+    def _reduce(self, chunk: slice, row: np.ndarray, scratch: np.ndarray) -> None:
+        trials = self.trials
+        n = chunk.stop - chunk.start
+        block = sample_fading_block(self.fading, chunk.start * trials, n * trials,
+                                    out=row[:n * trials], _scratch=scratch).reshape(n, trials)
+        block.mean(axis=-1, out=self.mean_gain[chunk])
+        np.divide(block, self.denominator[chunk, None], out=block)
+        np.log10(block, out=block)
+        np.multiply(block, 10.0, out=block)
+        mean_db = block.mean(axis=-1, out=self.fade_db[chunk])
+        if len(self.levels):
+            self.percentiles[:, chunk] = np.percentile(block, self.levels, axis=-1)
+        # population stddev, step for step as numpy.std, without its temporary
+        np.subtract(block, mean_db[:, None], out=block)
+        np.square(block, out=block)
+        spread = block.sum(axis=-1, out=self.stddev[chunk])
+        np.divide(spread, trials, out=spread)
+        np.sqrt(spread, out=spread)
 
 
 def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:

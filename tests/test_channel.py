@@ -24,6 +24,7 @@ from irssim import (
     watts_to_dbm,
     wavelength,
 )
+from irssim.channel import _HASH_BLOCK as BLOCK
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
@@ -88,6 +89,15 @@ class TestPowerConversion:
     def test_round_trip(self, watts):
         assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
 
+    def test_finite_above_the_milliwatt_float_range(self):
+        # 1.04e308 W is 1.04e311 mW, beyond the float range
+        assert watts_to_dbm(1.04e308) == pytest.approx(3110.1703, abs=1e-4)
+        assert watts_to_dbm(1.7976931348623157e308) == pytest.approx(3112.5472, abs=1e-4)
+
+    @pytest.mark.parametrize("watts", [1e-3, 2.5e-7, 1.7e305, 1.7976931348623157e305])
+    def test_unchanged_where_milliwatts_are_finite(self, watts):
+        assert watts_to_dbm(watts) == 10.0 * math.log10(watts / 1e-3)
+
 
 class TestFading:
     def test_deterministic_is_unity(self):
@@ -123,6 +133,50 @@ class TestFading:
     def test_rayleigh_requires_seed(self):
         with pytest.raises(InvalidInputError):
             FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL)
+
+    # draws of version 0.5.1, as float.hex: stream starts 0, 2**62 (the
+    # interferer base) and a range across the boundary of the 2**15-index hash blocks
+    PINNED = {
+        (0, 0): ["0x1.fc395e8aa0837p-4", "0x1.ae4be8a11ce98p-1", "0x1.d109d798cb9c3p+1"],
+        (0, 2**62): ["0x1.7cf904c3baf70p+2", "0x1.3486e10782e14p-2", "0x1.11d3cf9ea55efp-6"],
+        (0, 2**15 - 2): ["0x1.dadaee1ced1c5p-1", "0x1.0323659b3cb63p-2",
+                         "0x1.3333eff734e66p-1", "0x1.5e954a951531ap+0"],
+        (42, 0): ["0x1.322b1f6128f27p-2", "0x1.d548c5acc2421p+0", "0x1.472950897cfc0p+0"],
+        (42, 2**62): ["0x1.bf6525d5dbb3bp-9", "0x1.0d7af1aebc4cbp+0", "0x1.5f3d570a4d69cp-1"],
+        (42, 2**15 - 2): ["0x1.0b6a541077bb3p-1", "0x1.e7101146573c3p+0",
+                          "0x1.01211b62dc338p+0", "0x1.038e50a444bf2p+0"],
+        (2**64 - 1, 0): ["0x1.cb375f251ac8fp-4", "0x1.769f77ec1ce60p-4", "0x1.843860278c1a2p+0"],
+        (2**64 - 1, 2**62): ["0x1.53db51d72c114p+0", "0x1.6263aa28fbb50p+1",
+                             "0x1.22d24d44c2ba3p-5"],
+        (2**64 - 1, 2**15 - 2): ["0x1.6d575dd198483p-4", "0x1.7bad5d8a5d11bp+0",
+                                 "0x1.7fb1aceb1289ep-2", "0x1.15feec837454dp+0"],
+    }
+
+    @pytest.mark.parametrize("seed,start", list(PINNED))
+    def test_stream_is_pinned(self, seed, start):
+        expected = self.PINNED[seed, start]
+        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=seed)
+        draws = sample_fading_block(model, start, len(expected))
+        assert [float(v).hex() for v in draws] == expected
+        # one index at a time too: the same draw wherever a hash block starts
+        assert [float(sample_fading_block(model, start + i, 1)[0]).hex()
+                for i in range(len(expected))] == expected
+
+    @pytest.mark.parametrize("mode", list(FadingMode))
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_out_matches_allocating_form(self, mode, count):
+        model = FadingModel(mode=mode, seed=5)
+        out = np.full(count, np.nan)
+        result = sample_fading_block(model, 2**62 - BLOCK // 2, count, out=out)
+        assert result is out
+        expected = sample_fading_block(model, 2**62 - BLOCK // 2, count)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_out_must_fit(self):
+        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=5)
+        for out in (np.empty(4), np.empty(3, dtype=np.float32), np.empty(6)[::2]):
+            with pytest.raises(InvalidInputError, match="out must be"):
+                sample_fading_block(model, 0, 3, out=out)
 
 
 class TestConventionalRxPower:

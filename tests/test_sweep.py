@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -175,6 +177,17 @@ class TestDistanceSweep:
         with pytest.raises(DegenerateGeometryError, match="x="):
             run_distance_sweep(scenario, SweepSpec(start=1.0, stop=2.0, steps=2))
 
+    def test_mean_power_above_the_milliwatt_float_range(self):
+        # about 1e308 W at the nearest receiver: finite in watts, not in milliwatts
+        scenario = dataclasses.replace(
+            conventional_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1)),
+            channel=dataclasses.replace(make_channel(), tx_power=1.5e308))
+        result = run_distance_sweep(
+            scenario, SweepSpec(start=0.0095, stop=0.05, steps=5, trials=100, seed=1))
+        powers = [row.rx_power_dbm for row in result.rows]
+        assert all(math.isfinite(p) for p in powers)
+        assert 3110.0 < powers[0] < 3112.6 and powers == sorted(powers, reverse=True)
+
     def test_metadata_records_run_parameters(self):
         spec = SweepSpec(start=5.0, stop=50.0, steps=5, trials=3, seed=17)
         result = run_distance_sweep(conventional_scenario(), spec)
@@ -184,27 +197,37 @@ class TestDistanceSweep:
         assert result.metadata["conventional_model"] == "paper"
 
 
+def fading_outputs():
+    """Sweep rows, placement entries, Monte-Carlo statistics and kernel
+    percentiles of one Rayleigh scenario with two modeled interferers."""
+    interferers = InterfererSet.modeled([
+        (make_channel(), Point3(120, 0, 10)),
+        (make_channel(), Point3(-40, 60, 10)),
+    ])
+    scenario = dataclasses.replace(
+        irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7)),
+        interference=interferers)
+    sweep = run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=16,
+                                                   trials=20, seed=7))
+    placement = compare_placement(
+        scenario,
+        [Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)],
+        [Point3(10.0 * k, 3.0 * k - 12, 1.5) for k in range(1, 9)],
+        SweepSpec(start=1.0, stop=2.0, steps=2, trials=30, seed=7))
+    stats = monte_carlo_stats(scenario, Point3(70, 0, 1.5), 500, seed=7)
+    link = sweep_module._evaluate(
+        scenario, sweep_module._as_array([scenario.irs]),
+        sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)]),
+        25, 7, where=lambda k, p: "", percentiles=(5, 50, 95))
+    return sweep.rows, placement.entries, stats, [a.tobytes() for a in link]
+
+
 class TestChunkInvariance:
     """The kernel's memory chunking never changes a single bit of the output."""
 
-    fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7)
-
     def outputs(self, monkeypatch, elements):
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", elements)
-        interferers = InterfererSet.modeled([
-            (make_channel(), Point3(120, 0, 10)),
-            (make_channel(), Point3(-40, 60, 10)),
-        ])
-        scenario = dataclasses.replace(
-            irs_scenario(fading=self.fading), interference=interferers)
-        sweep = run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=16,
-                                                       trials=20, seed=7))
-        placement = compare_placement(
-            scenario,
-            [Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)],
-            [Point3(10.0 * k, 3.0 * k - 12, 1.5) for k in range(1, 9)],
-            SweepSpec(start=1.0, stop=2.0, steps=2, trials=30, seed=7))
-        return sweep.rows, placement.entries
+        return fading_outputs()
 
     # chunks count trials only. 1 element: one receiver per chunk; 100: sweep
     # chunks of 5, 5, 5 and 1 grid points (20 trials each) and placement chunks
@@ -212,6 +235,96 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("elements", [1, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, elements):
         assert self.outputs(monkeypatch, elements) == self.outputs(monkeypatch, 10**9)
+
+
+def spy_on_fading(monkeypatch, fail_at=None):
+    """Record the thread of every draw of the kernel; raise on stream index fail_at."""
+    threads = []
+    real = sweep_module.sample_fading_block
+
+    def spy(model, start_index, count, *args, **kwargs):
+        threads.append(threading.current_thread())
+        if start_index == fail_at:
+            raise RuntimeError(f"injected failure at stream index {start_index}")
+        return real(model, start_index, count, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "sample_fading_block", spy)
+    return threads
+
+
+class TestWorkers:
+    """The fading pass gives the same bytes on any number of worker threads."""
+
+    def outputs(self, monkeypatch, workers):
+        # one receiver per chunk: 16 sweep chunks, 8 placement chunks, 7 for
+        # the kernel's percentiles and a single Monte-Carlo chunk
+        monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
+        monkeypatch.setattr(sweep_module, "_WORKERS", workers)
+        return fading_outputs()
+
+    @pytest.mark.parametrize("workers", [2, 3, 100])
+    def test_bit_identical_to_serial(self, monkeypatch, workers):
+        # switch threads as often as possible, so a lost or misplaced write
+        # would show as a changed byte
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.outputs(monkeypatch, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == self.outputs(monkeypatch, 1)
+
+    # 100 workers are capped at half the chunks: 8 for the sweep, 4 for the
+    # placement and 3 for the kernel's 7 receivers; the Monte-Carlo run stays serial
+    @pytest.mark.parametrize("workers,expected", [
+        (1, [1, 1, 1, 1]), (2, [2, 2, 1, 2]), (3, [3, 3, 1, 3]), (100, [8, 4, 1, 3])])
+    def test_worker_count(self, monkeypatch, workers, expected):
+        monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
+        monkeypatch.setattr(sweep_module, "_WORKERS", workers)
+        threads = spy_on_fading(monkeypatch)
+        counts = []
+        real_evaluate = sweep_module._evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            first = len(threads)
+            result = real_evaluate(*args, **kwargs)
+            counts.append(len(set(threads[first:])))
+            return result
+
+        monkeypatch.setattr(sweep_module, "_evaluate", counting_evaluate)
+        fading_outputs()
+        assert counts == expected
+
+    def test_worker_failure_is_raised(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
+        monkeypatch.setattr(sweep_module, "_WORKERS", 2)
+        # 16 one-receiver chunks of 20 trials: worker 1 starts at receiver 8
+        threads = spy_on_fading(monkeypatch, fail_at=8 * 20)
+        alive = threading.active_count()
+        scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7))
+        with pytest.raises(RuntimeError, match="stream index 160"):
+            run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=16,
+                                                   trials=20, seed=7))
+        assert len(set(threads)) == 2
+        assert threading.active_count() == alive
+
+    def test_peak_memory(self, monkeypatch):
+        scenario = conventional_scenario(
+            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=2))
+        spec = SweepSpec(start=10.0, stop=40.0, steps=4, trials=200_000, seed=2)
+        row_bytes = spec.trials * 8
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(sweep_module, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                run_distance_sweep(scenario, spec)
+                _, peaks[workers] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # one receiver's row of draws per worker, and a hash block of scratch
+        assert peaks[1] <= 2_500_000
+        assert peaks[2] <= 2 * row_bytes + 2 ** 20
 
 
 class TestSharedFading:
