@@ -37,6 +37,13 @@ class ConventionalModel(enum.Enum):
     FRIIS = "friis"
 
 
+def _check_member(name: str, value: object, kind: type) -> None:
+    """Reject anything but a member of the enum ``kind``, such as its value string."""
+    if not isinstance(value, kind):
+        accepted = " or ".join(f"{kind.__name__}.{member.name}" for member in kind)
+        raise InvalidInputError(f"{name} must be {accepted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Carrier, transmit power, path-loss exponent and noise.
@@ -111,6 +118,7 @@ class FadingModel:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_member("fading mode", self.mode, FadingMode)
         if self.mode is FadingMode.RAYLEIGH_EXPONENTIAL and self.seed is None:
             raise InvalidInputError("rayleigh fading requires a seed")
 
@@ -189,36 +197,18 @@ def _exponential_block(seed: int, start_index: int, out: np.ndarray, scratch: np
     np.negative(out, out=out)
 
 
-def sample_fading_block(
-    model: FadingModel,
-    start_index: int,
-    count: int,
-    out: Optional[np.ndarray] = None,
-    *,
-    _scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Fading gains for stream indices start_index .. start_index+count-1.
-
-    The gains are written to ``out`` (float64, contiguous, of length count)
-    when given, else to a new array; either way the bytes are the same.
-    """
+def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
+    """Fading gains for stream indices start_index .. start_index+count-1."""
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count!r}")
-    if out is None:
-        out = np.empty(count)
-    elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise InvalidInputError(
-            f"out must be a contiguous float64 array of shape ({count},),"
-            f" got {out.dtype} {out.shape}")
     if model.mode is FadingMode.DETERMINISTIC:
-        out.fill(1.0)
-        return out
-    if _scratch is None:
-        _scratch = np.empty(min(count, _HASH_BLOCK), dtype=np.uint64)
+        return np.ones(count)
+    gains = np.empty(count)
+    scratch = np.empty(min(count, _HASH_BLOCK), dtype=np.uint64)
     seed = int(model.seed)
     for first in range(0, count, _HASH_BLOCK):
-        _exponential_block(seed, start_index + first, out[first:first + _HASH_BLOCK], _scratch)
-    return out
+        _exponential_block(seed, start_index + first, gains[first:first + _HASH_BLOCK], scratch)
+    return gains
 
 
 def _all_positive(value: Union[float, np.ndarray]) -> bool:
@@ -237,6 +227,7 @@ def conventional_rx_power(
     FRIIS form: identical with lambda squared in the numerator.
     Distances and gains may be arrays; they broadcast elementwise.
     """
+    _check_member("model", model, ConventionalModel)
     if not _all_positive(r):
         raise DegenerateGeometryError(f"link distance must be > 0, got {float(np.min(r))!r}")
     if not _all_positive(fading_gain):
@@ -259,22 +250,18 @@ def irs_rx_power(
     panel: IrsPanel,
     r1: Length,
     r2: Length,
-    fading_gain: Union[float, np.ndarray] = 1.0,
 ) -> Union[float, np.ndarray]:
     """Cascaded received power in watts through the reflecting panel.
 
     l_x*w_y*m^2*n^2*lambda^2*G_T*G_R*G*cos(theta_t)*cos(theta_r)*A^2
     / (64*pi^3*(r1*r2)^2) * P_t, with G the element aperture gain; the
-    wavelength cancels once G is substituted. The fading gain is an
-    optional extension (the cascaded formula itself carries no fading term).
-    Leg lengths r1 (tx to panel) and r2 (panel to rx) may be arrays; they
-    broadcast elementwise and give an array of powers.
+    wavelength cancels once G is substituted. Leg lengths r1 (tx to panel)
+    and r2 (panel to rx) may be arrays; they broadcast elementwise and give
+    an array of powers.
     """
     if not (_all_positive(r1) and _all_positive(r2)):
         raise DegenerateGeometryError(
             f"cascade legs must be > 0, got r1={r1!r}, r2={r2!r}")
-    if not _all_positive(fading_gain):
-        raise InvalidInputError(f"fading gain must be > 0, got {fading_gain!r}")
     lam = params.wavelength
     g = irs_scattering_gain(panel, lam)
     m = panel.tx_side_elements
@@ -286,4 +273,4 @@ def irs_rx_power(
                  * math.cos(math.radians(panel.theta_r))
                  * panel.reflection_coefficient ** 2)
     denominator = 64.0 * math.pi ** 3 * (r1 * r2) ** 2
-    return numerator / denominator * params.tx_power * fading_gain
+    return numerator / denominator * params.tx_power

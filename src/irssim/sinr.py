@@ -80,10 +80,8 @@ def aggregate_interference(
     return total
 
 
-def thermal_noise_watts(bandwidth_hz: float, temperature_k: float = REFERENCE_TEMPERATURE_K) -> float:
-    """k*T*B thermal noise floor for a given bandwidth."""
+def thermal_noise_watts(bandwidth_hz: float) -> float:
+    """k*T*B thermal noise floor for a given bandwidth at the 290 K reference temperature."""
     if not (bandwidth_hz > 0):
         raise InvalidInputError(f"bandwidth must be > 0 Hz, got {bandwidth_hz!r}")
-    if not (temperature_k > 0):
-        raise InvalidInputError(f"temperature must be > 0 K, got {temperature_k!r}")
-    return BOLTZMANN * temperature_k * bandwidth_hz
+    return BOLTZMANN * REFERENCE_TEMPERATURE_K * bandwidth_hz

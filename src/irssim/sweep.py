@@ -14,12 +14,14 @@ chunks sized by memory, and then shifts those statistics by each position's
 signal: (P, T) work plus a (K, P) shift. A chunk never splits one receiver's
 trials, so results are bit-identical at any chunk size.
 
-A pass of two or more chunks is split into contiguous ranges of chunks, one
-per worker thread, over at most the CPUs the process may use (its affinity
-mask) and at most half the chunks; the numpy loops of each worker release the
-interpreter lock. Each receiver's statistics are a pure function of its own
-draws, so the bytes are identical at any worker count; ``taskset -c 0`` runs
-the pass serially.
+The receivers of a pass are split into contiguous ranges, one per worker
+thread, over at most the CPUs the process may use (its affinity mask) and at
+most one worker per two chunks; each worker walks its range chunk by chunk,
+and the numpy loops release the interpreter lock. The draw function
+allocates each chunk's draws, which are freed before the next chunk is
+drawn. Each receiver's statistics are a pure function of its own draws, so
+the bytes are identical at any worker count; ``taskset -c 0`` runs the pass
+serially.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from irssim.channel import (
     ConventionalModel,
     FadingModel,
     IrsPanel,
-    _HASH_BLOCK,
+    _check_member,
     conventional_rx_power,
     irs_rx_power,
     sample_fading_block,
@@ -77,6 +79,7 @@ class Scenario:
     assumptions: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_member("conventional_model", self.conventional_model, ConventionalModel)
         if (self.panel is None) != (self.irs is None):
             raise InvalidInputError(
                 "a scenario carries both a panel and an IRS position, or neither")
@@ -92,11 +95,21 @@ class Scenario:
         return _as_array([origin]) + np.asarray(xs, dtype=float)[:, None] * unit
 
 
-def _check_trials_and_seed(trials: int, seed: int) -> None:
+def _integer(name: str, value: int) -> int:
+    """A Python or numpy integer as a Python int; a float or bool would run
+    truncated but be reported as given, so it is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_trials_and_seed(trials: int, seed: int) -> Tuple[int, int]:
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
     if not (0 <= seed < 2 ** 64):
         raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return trials, seed
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,13 @@ class SweepSpec:
         if not (self.start < self.stop):
             raise InvalidInputError(
                 f"sweep start must be < stop, got [{self.start!r}, {self.stop!r}]")
-        if self.steps < 2:
-            raise InvalidInputError(f"sweep steps must be >= 2, got {self.steps!r}")
-        _check_trials_and_seed(self.trials, self.seed)
+        steps = _integer("sweep steps", self.steps)
+        if steps < 2:
+            raise InvalidInputError(f"sweep steps must be >= 2, got {steps!r}")
+        trials, seed = _check_trials_and_seed(self.trials, self.seed)
+        # kept as Python ints, so no numpy scalar reaches the metadata
+        for name, value in (("steps", steps), ("trials", trials), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     def grid(self) -> List[float]:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -240,91 +257,84 @@ def _evaluate(
             f"{where(k, p)}: received power {float(signal[k, p])!r} W is outside the float range;"
             " check the link budget")
     denominator = np.broadcast_to(interference + scenario.channel.noise_power, (len(rx),))
-    fade = _FadingPass(fading, denominator, trials, percentiles)
-
-    # the receivers' chunks, split into one contiguous range per worker; the
-    # caller is worker 0 and allocates every buffer the pass needs
-    step = max(1, _CHUNK_ELEMENTS // trials)
-    chunks = [slice(first, min(first + step, len(rx))) for first in range(0, len(rx), step)]
-    workers = max(1, min(_WORKERS, len(chunks) // 2))
-    rows = np.empty((workers, min(step, len(rx)) * trials))
-    scratch = np.empty((workers, min(rows.shape[1], _HASH_BLOCK)), dtype=np.uint64)
-    ranges = [chunks[len(chunks) * w // workers:len(chunks) * (w + 1) // workers]
-              for w in range(workers)]
-    started = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=fade.run, args=(ranges[w], rows[w], scratch[w]))
-            thread.start()
-            started.append(thread)
-        fade.run(ranges[0], rows[0], scratch[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if fade.errors:
-        raise fade.errors[0]
+    mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
+        fading, denominator, trials, percentiles)
 
     # then shift by each position's unit-fading signal, (K, P) work
     signal_db = 10.0 * np.log10(signal)
     return _LinkStats(
-        power=signal * fade.mean_gain,
-        sinr_db=signal_db + fade.fade_db,
-        sinr_db_stddev=np.broadcast_to(fade.stddev, signal.shape),
-        percentiles=signal_db + fade.percentiles[:, None, :],
+        power=signal * mean_gain,
+        sinr_db=signal_db + fade_db,
+        sinr_db_stddev=np.broadcast_to(stddev, signal.shape),
+        percentiles=signal_db + fade_percentiles[:, None, :],
     )
 
 
-class _FadingPass:
-    """The per-receiver reduction of the fading pass, filled chunk by chunk.
+def _fading_statistics(
+    fading: FadingModel,
+    denominator: np.ndarray,
+    trials: int,
+    percentiles: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-receiver statistics of the fading draws, shapes (P,), (P,), (P,), (Q, P).
 
-    The draws and the noise-plus-interference power depend on the receiver
-    only, so the trial part of the per-trial SINR in dB,
+    The draws and the noise-plus-interference power ``denominator`` depend on
+    the receiver only, so the trial part of the per-trial SINR in dB,
     10*log10(gain / denominator), is shared by every reflector position: it
-    is reduced over the trials once per receiver. Each chunk writes only its
-    own receivers' entries, so workers may fill disjoint chunks concurrently.
+    is reduced over the trials once per receiver, to the mean gain, the mean
+    and population stddev of that dB term, and its percentiles.
     """
+    p_count = len(denominator)
+    mean_gain = np.empty(p_count)
+    fade_db = np.empty(p_count)
+    stddev = np.empty(p_count)
+    fade_percentiles = np.empty((len(percentiles), p_count))
+    step = max(1, _CHUNK_ELEMENTS // trials)
+    chunks = -(-p_count // step)
+    workers = max(1, min(_WORKERS, chunks // 2))
+    errors: List[BaseException] = []
 
-    def __init__(self, fading: FadingModel, denominator: np.ndarray, trials: int,
-                 percentiles: Sequence[float]) -> None:
-        p_count = len(denominator)
-        self.fading = fading
-        self.denominator = denominator
-        self.trials = trials
-        self.levels = percentiles
-        self.mean_gain = np.empty(p_count)
-        self.fade_db = np.empty(p_count)
-        self.stddev = np.empty(p_count)
-        self.percentiles = np.empty((len(percentiles), p_count))
-        self.errors: List[BaseException] = []
-
-    def run(self, chunks: Sequence[slice], row: np.ndarray, scratch: np.ndarray) -> None:
-        """Reduce the chunks in order in the buffers ``row`` and ``scratch``,
-        recording an exception instead of raising it, so the caller can wait
-        for every worker before it raises."""
+    def reduce(first: int, stop: int) -> None:
+        # each chunk writes only its own receivers' entries, so workers may
+        # reduce disjoint ranges concurrently; an exception is recorded, and
+        # raised once every worker has ended
         try:
-            for chunk in chunks:
-                self._reduce(chunk, row, scratch)
-        except BaseException as exc:  # re-raised by _evaluate once all workers end
-            self.errors.append(exc)
+            for start in range(first, stop, step):
+                chunk = slice(start, min(start + step, stop))
+                n = chunk.stop - start
+                block = sample_fading_block(fading, start * trials, n * trials).reshape(n, trials)
+                block.mean(axis=-1, out=mean_gain[chunk])
+                np.divide(block, denominator[chunk, None], out=block)
+                np.log10(block, out=block)
+                np.multiply(block, 10.0, out=block)
+                mean_db = block.mean(axis=-1, out=fade_db[chunk])
+                if len(percentiles):
+                    fade_percentiles[:, chunk] = np.percentile(block, percentiles, axis=-1)
+                # population stddev, step for step as numpy.std, without its temporary
+                np.subtract(block, mean_db[:, None], out=block)
+                np.square(block, out=block)
+                spread = block.sum(axis=-1, out=stddev[chunk])
+                np.divide(spread, trials, out=spread)
+                np.sqrt(spread, out=spread)
+                del block  # free this chunk's draws before the next chunk's are made
+        except BaseException as exc:
+            errors.append(exc)
 
-    def _reduce(self, chunk: slice, row: np.ndarray, scratch: np.ndarray) -> None:
-        trials = self.trials
-        n = chunk.stop - chunk.start
-        block = sample_fading_block(self.fading, chunk.start * trials, n * trials,
-                                    out=row[:n * trials], _scratch=scratch).reshape(n, trials)
-        block.mean(axis=-1, out=self.mean_gain[chunk])
-        np.divide(block, self.denominator[chunk, None], out=block)
-        np.log10(block, out=block)
-        np.multiply(block, 10.0, out=block)
-        mean_db = block.mean(axis=-1, out=self.fade_db[chunk])
-        if len(self.levels):
-            self.percentiles[:, chunk] = np.percentile(block, self.levels, axis=-1)
-        # population stddev, step for step as numpy.std, without its temporary
-        np.subtract(block, mean_db[:, None], out=block)
-        np.square(block, out=block)
-        spread = block.sum(axis=-1, out=self.stddev[chunk])
-        np.divide(spread, trials, out=spread)
-        np.sqrt(spread, out=spread)
+    # one contiguous range of receivers per worker; the caller is worker 0
+    bounds = [p_count * w // workers for w in range(workers + 1)]
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=reduce, args=(bounds[w], bounds[w + 1]))
+            thread.start()
+            started.append(thread)
+        reduce(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return mean_gain, fade_db, stddev, fade_percentiles
 
 
 def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
@@ -395,7 +405,7 @@ def monte_carlo_stats(
     seed: int,
 ) -> MonteCarloStats:
     """Fading statistics of the link to a fixed receiver position."""
-    _check_trials_and_seed(trials, seed)
+    trials, seed = _check_trials_and_seed(trials, seed)
     stats = _evaluate(scenario, _irs_of(scenario), _as_array([point]), trials, seed,
                       where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
     return MonteCarloStats(

@@ -164,19 +164,19 @@ class TestFading:
 
     @pytest.mark.parametrize("mode", list(FadingMode))
     @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    def test_out_matches_allocating_form(self, mode, count):
+    def test_split_matches_one_call(self, mode, count):
+        # the second call's hash blocks start count // 3 indices later
         model = FadingModel(mode=mode, seed=5)
-        out = np.full(count, np.nan)
-        result = sample_fading_block(model, 2**62 - BLOCK // 2, count, out=out)
-        assert result is out
-        expected = sample_fading_block(model, 2**62 - BLOCK // 2, count)
-        assert out.tobytes() == expected.tobytes()
+        start, split = 2**62 - BLOCK // 2, count // 3
+        whole = sample_fading_block(model, start, count)
+        parts = np.concatenate([sample_fading_block(model, start, split),
+                                sample_fading_block(model, start + split, count - split)])
+        assert whole.tobytes() == parts.tobytes()
 
-    def test_out_must_fit(self):
-        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=5)
-        for out in (np.empty(4), np.empty(3, dtype=np.float32), np.empty(6)[::2]):
-            with pytest.raises(InvalidInputError, match="out must be"):
-                sample_fading_block(model, 0, 3, out=out)
+    def test_mode_must_be_a_member(self):
+        with pytest.raises(InvalidInputError,
+                           match="FadingMode.DETERMINISTIC or FadingMode.RAYLEIGH_EXPONENTIAL"):
+            FadingModel(mode="rayleigh", seed=1)
 
 
 class TestConventionalRxPower:
@@ -225,6 +225,12 @@ class TestConventionalRxPower:
         paper = conventional_rx_power(params, 10.0, model=ConventionalModel.PAPER)
         friis = conventional_rx_power(params, 10.0, model=ConventionalModel.FRIIS)
         assert friis == pytest.approx(paper * lam, rel=1e-15)
+
+    def test_model_must_be_a_member(self):
+        # the value string "paper" must not fall through to the friis formula
+        with pytest.raises(InvalidInputError,
+                           match="ConventionalModel.PAPER or ConventionalModel.FRIIS"):
+            conventional_rx_power(make_params(frequency=28e9), 10.0, model="paper")
 
     def test_fading_expectation_matches_deterministic(self):
         params = make_params(frequency=28e9, alpha=2.5)

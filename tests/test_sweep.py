@@ -95,6 +95,29 @@ class TestSweepSpec:
             with pytest.raises(InvalidInputError, match="seed"):
                 SweepSpec(start=1.0, stop=2.0, steps=5, seed=seed)
 
+    # a float would run truncated (seed 1.5 as seed 1) but be reported as given
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 1.5), ("seed", 2.7), ("seed", True), ("seed", np.float64(3.0)), ("seed", "1"),
+        ("trials", 2.5), ("trials", 2.0), ("trials", True), ("trials", None),
+        ("steps", 2.5), ("steps", 5.0), ("steps", np.True_)])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            SweepSpec(start=1.0, stop=2.0, **{"steps": 5, "trials": 3, name: value})
+        if name != "steps":
+            scenario = conventional_scenario(
+                fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+            with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+                monte_carlo_stats(scenario, Point3(30, 0, 10),
+                                  **{"trials": 3, "seed": 1, name: value})
+
+    def test_numpy_integers_are_kept_as_python_ints(self):
+        spec = SweepSpec(start=1.0, stop=2.0, steps=np.int32(5), trials=np.int64(3),
+                         seed=np.uint64(2**64 - 1))
+        assert (spec.steps, spec.trials, spec.seed) == (5, 3, 2**64 - 1)
+        assert all(type(v) is int for v in (spec.steps, spec.trials, spec.seed))
+        result = run_distance_sweep(conventional_scenario(), spec)
+        assert type(result.metadata["seed"]) is int
+
 
 class TestScenario:
     def test_irs_mode_requires_panel_and_position(self):
@@ -116,6 +139,11 @@ class TestScenario:
                 tx=Point3(0, 0, 10),
                 panel=make_panel(),
             )
+
+    def test_conventional_model_must_be_a_member(self):
+        with pytest.raises(InvalidInputError,
+                           match="ConventionalModel.PAPER or ConventionalModel.FRIIS"):
+            dataclasses.replace(conventional_scenario(), conventional_model="paper")
 
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInputError):
