@@ -36,7 +36,7 @@ from irssim.presets import PRESET_NAMES, build_preset
 from irssim.config import parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ChannelParams",

@@ -44,6 +44,22 @@ def _check_member(name: str, value: object, kind: type) -> None:
         raise InvalidInputError(f"{name} must be {accepted}, got {value!r}")
 
 
+def _integer(name: str, value: int) -> int:
+    """A Python or numpy integer as a Python int; a float or bool would run
+    truncated but be reported as given, so it is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value: int) -> int:
+    """A seed of the splitmix64 streams: an integer in [0, 2**64), as a Python int."""
+    seed = _integer("seed", value)
+    if not (0 <= seed < 2 ** 64):
+        raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Carrier, transmit power, path-loss exponent and noise.
@@ -98,9 +114,10 @@ class IrsPanel:
             if not (0 < value < math.inf):
                 raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("tx_side_elements", "rx_side_elements"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or count < 1:
+            count = _integer(name, getattr(self, name))
+            if count < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1, got {count!r}")
+            object.__setattr__(self, name, count)
         if not (0 < self.reflection_coefficient <= 1):
             raise InvalidInputError(
                 f"reflection_coefficient must lie in (0, 1], got {self.reflection_coefficient!r}")
@@ -119,7 +136,9 @@ class FadingModel:
 
     def __post_init__(self) -> None:
         _check_member("fading mode", self.mode, FadingMode)
-        if self.mode is FadingMode.RAYLEIGH_EXPONENTIAL and self.seed is None:
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _seed(self.seed))
+        elif self.mode is FadingMode.RAYLEIGH_EXPONENTIAL:
             raise InvalidInputError("rayleigh fading requires a seed")
 
     @property

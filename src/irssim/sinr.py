@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from irssim.channel import (
     sample_fading_block,
 )
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, Points, distance
+from irssim.geometry import Point3, distance
 
 BOLTZMANN = 1.380649e-23  # J/K
 REFERENCE_TEMPERATURE_K = 290.0
@@ -49,34 +49,33 @@ class InterfererSet:
 
 def aggregate_interference(
     interferer_set: InterfererSet,
-    rx: Points,
+    rx: np.ndarray,
     fading: FadingModel,
     model: ConventionalModel = ConventionalModel.PAPER,
-) -> Union[float, np.ndarray]:
-    """Total interference power at rx, in watts.
+) -> np.ndarray:
+    """Total interference power at each receiver, in watts, shape (P,).
 
     The constant floor plus the direct-link received power from each
-    modeled interferer. Receiver p of an array of shape (P, 3) gives element
-    p of the result and draws one fading gain per interferer j at stream
-    index ``_INTERFERENCE_STREAM_BASE + p * n + j`` (n interferers); a
-    single receiver is p = 0. With no interferers the floor is returned as
-    is and nothing is drawn.
+    modeled interferer at the receivers ``rx``, coordinates of shape (P, 3).
+    Receiver p draws one fading gain per interferer j at stream index
+    ``_INTERFERENCE_STREAM_BASE + p * n + j`` (n interferers). With no
+    interferers nothing is drawn.
     """
-    total = interferer_set.constant_power
+    if not (isinstance(rx, np.ndarray) and rx.ndim == 2 and rx.shape[1] == 3):
+        got = f"shape {rx.shape}" if isinstance(rx, np.ndarray) else type(rx).__name__
+        raise InvalidInputError(f"rx must be a numpy array of shape (P, 3), got {got}")
+    total = np.full(len(rx), interferer_set.constant_power)
     if not interferer_set.interferers:
         return total
-    single = isinstance(rx, Point3)
-    receivers = 1 if single else len(rx)
     count = len(interferer_set.interferers)
     gains = sample_fading_block(
-        fading, _INTERFERENCE_STREAM_BASE, receivers * count).reshape(receivers, count)
+        fading, _INTERFERENCE_STREAM_BASE, len(rx) * count).reshape(len(rx), count)
     for offset, (params, position) in enumerate(interferer_set.interferers):
         r = distance(position, rx)
         if np.any(np.equal(r, 0.0)):
             raise DegenerateGeometryError(
                 f"interferer {offset} at {position} coincides with the receiver")
-        gain = float(gains[0, offset]) if single else gains[:, offset]
-        total += conventional_rx_power(params, r, gain, model)
+        total += conventional_rx_power(params, r, gains[:, offset], model)
     return total
 
 

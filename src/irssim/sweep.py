@@ -1,18 +1,20 @@
 """Scenario definition and the sweep / Monte-Carlo engine.
 
 Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
-statistics) is one call of the array kernel :func:`_evaluate`, which scores K
-reflector positions against P receivers over T fading trials. Every random
+statistics) is one call of the array kernel :func:`_evaluate`, which scores
+signal rows against P receivers over T fading trials. A row is one panel at
+one reflector position: a placement search has a row per candidate
+position, an angle sweep a row per (theta_t, theta_r) pair. Every random
 draw is a pure function of (seed, stream index): trial t at receiver p uses
 index p*T + t, and the interferer draws follow the layout of
-:func:`irssim.sinr.aggregate_interference`, so every reflector position sees
-the same draws (common random numbers). The noise-plus-interference power
-depends on the receiver only, so in dB the per-trial SINR is the position's
-unit-fading signal plus a fading term shared by all positions. The kernel
-therefore reduces the (P, T) fading terms once, walking the receivers in
-chunks sized by memory, and then shifts those statistics by each position's
-signal: (P, T) work plus a (K, P) shift. A chunk never splits one receiver's
-trials, so results are bit-identical at any chunk size.
+:func:`irssim.sinr.aggregate_interference`, so every row sees the same draws
+(common random numbers). The noise-plus-interference power depends on the
+receiver only, so in dB the per-trial SINR is the row's unit-fading signal
+plus a fading term shared by all rows. The kernel therefore reduces the
+(P, T) fading terms once, walking the receivers in chunks sized by memory,
+and then shifts those statistics by each row's signal: (P, T) work plus an
+(R, P) shift for R rows. A chunk never splits one receiver's trials, so
+results are bit-identical at any chunk size.
 
 The receivers of a pass are split into contiguous ranges, one per worker
 thread, over at most the CPUs the process may use (its affinity mask) and at
@@ -41,6 +43,8 @@ from irssim.channel import (
     FadingModel,
     IrsPanel,
     _check_member,
+    _integer,
+    _seed,
     conventional_rx_power,
     irs_rx_power,
     sample_fading_block,
@@ -95,21 +99,11 @@ class Scenario:
         return _as_array([origin]) + np.asarray(xs, dtype=float)[:, None] * unit
 
 
-def _integer(name: str, value: int) -> int:
-    """A Python or numpy integer as a Python int; a float or bool would run
-    truncated but be reported as given, so it is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_trials_and_seed(trials: int, seed: int) -> Tuple[int, int]:
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
-    if not (0 <= seed < 2 ** 64):
-        raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed!r}")
-    return trials, seed
+    return trials, _seed(seed)
 
 
 @dataclass(frozen=True)
@@ -186,16 +180,16 @@ class PlacementReport:
 
 
 class _LinkStats(NamedTuple):
-    """Per (reflector position, receiver) statistics over the fading trials.
+    """Per (signal row, receiver) statistics over the fading trials.
 
-    The stddev does not depend on the position: it is one (P,) row, broadcast
-    read-only over K.
+    Row a*K + k is panel a at reflector position k. The stddev does not
+    depend on the row: it is one (P,) array, broadcast read-only over the rows.
     """
 
-    power: np.ndarray  # (K, P) mean received power, W
-    sinr_db: np.ndarray  # (K, P) mean of the per-trial SINR in dB
-    sinr_db_stddev: np.ndarray  # (K, P) population stddev of the per-trial SINR in dB
-    percentiles: np.ndarray  # (Q, K, P) per-trial SINR percentiles in dB
+    power: np.ndarray  # (R, P) mean received power, W
+    sinr_db: np.ndarray  # (R, P) mean of the per-trial SINR in dB
+    sinr_db_stddev: np.ndarray  # (R, P) population stddev of the per-trial SINR in dB
+    percentiles: np.ndarray  # (Q, R, P) per-trial SINR percentiles in dB
 
 
 def _as_array(points: Sequence[Point3]) -> np.ndarray:
@@ -203,11 +197,19 @@ def _as_array(points: Sequence[Point3]) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
 
 
-def _signal_power(scenario: Scenario, irs: Optional[np.ndarray], rx: np.ndarray) -> np.ndarray:
-    """Unit-fading received power, shape (K, P); conventional mode has K = 1."""
+def _signal_power(
+    scenario: Scenario,
+    irs: Optional[np.ndarray],
+    rx: np.ndarray,
+    panels: Optional[Sequence[IrsPanel]] = None,
+) -> np.ndarray:
+    """Unit-fading received power of each of A panels (by default the
+    scenario's own) at each of K positions, shape (A*K, P) with row a*K + k;
+    conventional mode has one row."""
     if scenario.irs is not None:
         r1, r2 = cascade_distances(scenario.tx, irs[:, None, :], rx)
-        return irs_rx_power(scenario.channel, scenario.panel, r1, r2)
+        return np.concatenate([irs_rx_power(scenario.channel, panel, r1, r2)
+                               for panel in panels or (scenario.panel,)])
     r = distance(scenario.tx, rx)
     return conventional_rx_power(scenario.channel, r, 1.0, scenario.conventional_model)[None, :]
 
@@ -220,13 +222,15 @@ def _evaluate(
     seed: int,
     where: Callable[[int, int], str],
     percentiles: Sequence[float] = (),
+    panels: Optional[Sequence[IrsPanel]] = None,
 ) -> _LinkStats:
-    """Link statistics of K reflector positions against P receivers.
+    """Link statistics of the signal rows of :func:`_signal_power` against P receivers.
 
     ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
-    has shape (P, 3). Each pair is scored over ``trials`` fading draws seeded
-    by ``seed``; deterministic fading evaluates one trial, since all are
-    identical. A degenerate pair, or one whose unit-fading power is 0 W or
+    has shape (P, 3). Each row is scored over ``trials`` fading draws seeded
+    by ``seed``, the same draws for every row; deterministic fading evaluates
+    one trial, since all are identical. A degenerate pair of position k and
+    receiver p, or a row k whose unit-fading power at receiver p is 0 W or
     infinite (a link budget outside the float range), is reported as
     ``where(k, p)``.
     """
@@ -238,11 +242,12 @@ def _evaluate(
     try:
         # a link budget beyond the float range is reported below, not warned about
         with np.errstate(over="ignore"):
-            signal = _signal_power(scenario, irs, rx)
+            signal = _signal_power(scenario, irs, rx, panels)
         interference = aggregate_interference(
             scenario.interference, rx, fading, scenario.conventional_model)
     except DegenerateGeometryError:
-        # rare path: retry pair by pair to name the first offending one
+        # rare path: retry pair by pair to name the first offending one; the
+        # panel angles cannot make a pair degenerate
         for k, p in itertools.product(range(1 if irs is None else len(irs)), range(len(rx))):
             try:
                 _signal_power(scenario, None if irs is None else irs[k:k + 1], rx[p:p + 1])
@@ -256,11 +261,10 @@ def _evaluate(
         raise InvalidInputError(
             f"{where(k, p)}: received power {float(signal[k, p])!r} W is outside the float range;"
             " check the link budget")
-    denominator = np.broadcast_to(interference + scenario.channel.noise_power, (len(rx),))
     mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
-        fading, denominator, trials, percentiles)
+        fading, interference + scenario.channel.noise_power, trials, percentiles)
 
-    # then shift by each position's unit-fading signal, (K, P) work
+    # then shift by each row's unit-fading signal, (R, P) work
     signal_db = 10.0 * np.log10(signal)
     return _LinkStats(
         power=signal * mean_gain,
@@ -353,6 +357,33 @@ def _irs_of(scenario: Scenario) -> Optional[np.ndarray]:
     return None if scenario.irs is None else _as_array([scenario.irs])
 
 
+def _sweeps(
+    scenario: Scenario,
+    spec: SweepSpec,
+    panels: Sequence[Optional[IrsPanel]],
+    labels: Sequence[str],
+) -> List[SweepResult]:
+    """One distance sweep per panel, all scored in one kernel call."""
+    if not panels:
+        return []
+    grid = spec.grid()
+    if grid[0] <= 0:
+        raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
+    stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
+                      spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}",
+                      panels=panels)
+    return [
+        SweepResult(
+            scenario_label=label,
+            variable_name="distance_m",
+            rows=tuple(map(SweepRow, grid, map(watts_to_dbm, power.tolist()),
+                           sinr_db.tolist(), stddev.tolist())),
+            metadata=_base_metadata(scenario, spec),
+        )
+        for label, power, sinr_db, stddev in zip(
+            labels, stats.power, stats.sinr_db, stats.sinr_db_stddev)]
+
+
 def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     """Sweep the receiver distance and record mean SINR per grid point.
 
@@ -360,19 +391,7 @@ def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     transmitter-to-receiver distance otherwise; output rows are ordered by
     distance.
     """
-    grid = spec.grid()
-    if grid[0] <= 0:
-        raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
-    stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
-                      spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}")
-    rows = tuple(map(SweepRow, grid, map(watts_to_dbm, stats.power[0].tolist()),
-                     stats.sinr_db[0].tolist(), stats.sinr_db_stddev[0].tolist()))
-    return SweepResult(
-        scenario_label=scenario.label,
-        variable_name="distance_m",
-        rows=rows,
-        metadata=_base_metadata(scenario, spec),
-    )
+    return _sweeps(scenario, spec, [scenario.panel], [scenario.label])[0]
 
 
 def run_angle_sweep(
@@ -380,22 +399,18 @@ def run_angle_sweep(
     angle_pairs: Sequence[Tuple[float, float]],
     spec: SweepSpec,
 ) -> List[SweepResult]:
-    """One distance sweep per (theta_t, theta_r) pair, sharing fading draws.
+    """One distance sweep per (theta_t, theta_r) pair, all from one fading pass.
 
-    All pairs reuse the same seed and stream indices, so dB gaps between the
-    returned curves reflect only the angle change (common random numbers).
+    Every pair is scored against the same draws (the same seed and stream
+    indices), so dB gaps between the returned curves reflect only the angle
+    change (common random numbers), and the sweep costs about as much as one
+    distance sweep.
     """
     if scenario.irs is None:
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
-    results = []
-    for theta_t, theta_r in angle_pairs:
-        variant = replace(
-            scenario,
-            panel=replace(scenario.panel, theta_t=theta_t, theta_r=theta_r),
-            label=f"{scenario.label} theta_t={theta_t:g} theta_r={theta_r:g}",
-        )
-        results.append(run_distance_sweep(variant, spec))
-    return results
+    panels = [replace(scenario.panel, theta_t=t, theta_r=r) for t, r in angle_pairs]
+    return _sweeps(scenario, spec, panels, [
+        f"{scenario.label} theta_t={p.theta_t:g} theta_r={p.theta_r:g}" for p in panels])
 
 
 def monte_carlo_stats(

@@ -178,6 +178,14 @@ class TestFading:
                            match="FadingMode.DETERMINISTIC or FadingMode.RAYLEIGH_EXPONENTIAL"):
             FadingModel(mode="rayleigh", seed=1)
 
+    # a float seed would draw the truncated seed's stream, and one outside
+    # [0, 2**64) would wrap, while either is reported as given
+    @pytest.mark.parametrize("mode", list(FadingMode))
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, "1"])
+    def test_seed_follows_the_sweep_seed_rule(self, mode, seed):
+        with pytest.raises(InvalidInputError, match="seed must"):
+            FadingModel(mode=mode, seed=seed)
+
 
 class TestConventionalRxPower:
     def test_hand_evaluated_reference(self):
@@ -367,6 +375,19 @@ class TestValidation:
     def test_panel_ranges(self, field, value):
         with pytest.raises(InvalidInputError):
             make_panel(**{field: value})
+
+    # a bool or float count would run as another count but be reported as given
+    @pytest.mark.parametrize("field", ["tx_side_elements", "rx_side_elements"])
+    @pytest.mark.parametrize("value", [True, 2.0, np.int64(3)])
+    def test_element_counts_follow_the_integer_rule(self, field, value):
+        if not isinstance(value, np.integer):
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+                make_panel(**{field: value})
+            return
+        panel = make_panel(**{field: value})
+        assert type(getattr(panel, field)) is int
+        assert (irs_rx_power(make_params(), panel, 4.0, 6.0)
+                == irs_rx_power(make_params(), make_panel(**{field: 3}), 4.0, 6.0))
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("build,field", [

@@ -28,6 +28,7 @@ from irssim import (
 )
 from irssim import sweep as sweep_module
 from irssim.channel import FadingMode
+from irssim.output import render_results
 
 
 def make_channel(alpha=2.0):
@@ -226,8 +227,9 @@ class TestDistanceSweep:
 
 
 def fading_outputs():
-    """Sweep rows, placement entries, Monte-Carlo statistics and kernel
-    percentiles of one Rayleigh scenario with two modeled interferers."""
+    """Sweep rows, placement entries, Monte-Carlo statistics, kernel
+    percentiles and angle sweeps of one Rayleigh scenario with two modeled
+    interferers."""
     interferers = InterfererSet.modeled([
         (make_channel(), Point3(120, 0, 10)),
         (make_channel(), Point3(-40, 60, 10)),
@@ -247,7 +249,9 @@ def fading_outputs():
         scenario, sweep_module._as_array([scenario.irs]),
         sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)]),
         25, 7, where=lambda k, p: "", percentiles=(5, 50, 95))
-    return sweep.rows, placement.entries, stats, [a.tobytes() for a in link]
+    angles = run_angle_sweep(scenario, [(45, 45), (0, 0), (30, 60)],
+                             SweepSpec(start=5.0, stop=95.0, steps=12, trials=20, seed=7))
+    return sweep.rows, placement.entries, stats, [a.tobytes() for a in link], angles
 
 
 class TestChunkInvariance:
@@ -258,8 +262,9 @@ class TestChunkInvariance:
         return fading_outputs()
 
     # chunks count trials only. 1 element: one receiver per chunk; 100: sweep
-    # chunks of 5, 5, 5 and 1 grid points (20 trials each) and placement chunks
-    # of 3, 3 and 2 receivers (30 trials each); 10**9: the whole grid at once
+    # chunks of 5, 5, 5 and 1 grid points (20 trials each), angle sweep chunks
+    # of 5, 5 and 2, and placement chunks of 3, 3 and 2 receivers (30 trials
+    # each); 10**9: the whole grid at once
     @pytest.mark.parametrize("elements", [1, 100])
     def test_chunk_size_does_not_change_results(self, monkeypatch, elements):
         assert self.outputs(monkeypatch, elements) == self.outputs(monkeypatch, 10**9)
@@ -285,7 +290,8 @@ class TestWorkers:
 
     def outputs(self, monkeypatch, workers):
         # one receiver per chunk: 16 sweep chunks, 8 placement chunks, 7 for
-        # the kernel's percentiles and a single Monte-Carlo chunk
+        # the kernel's percentiles, 12 for the angle sweep and a single
+        # Monte-Carlo chunk
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
         monkeypatch.setattr(sweep_module, "_WORKERS", workers)
         return fading_outputs()
@@ -303,9 +309,11 @@ class TestWorkers:
         assert threaded == self.outputs(monkeypatch, 1)
 
     # 100 workers are capped at half the chunks: 8 for the sweep, 4 for the
-    # placement and 3 for the kernel's 7 receivers; the Monte-Carlo run stays serial
+    # placement, 3 for the kernel's 7 receivers and 6 for the angle sweep; the
+    # Monte-Carlo run stays serial
     @pytest.mark.parametrize("workers,expected", [
-        (1, [1, 1, 1, 1]), (2, [2, 2, 1, 2]), (3, [3, 3, 1, 3]), (100, [8, 4, 1, 3])])
+        (1, [1, 1, 1, 1, 1]), (2, [2, 2, 1, 2, 2]), (3, [3, 3, 1, 3, 3]),
+        (100, [8, 4, 1, 3, 6])])
     def test_worker_count(self, monkeypatch, workers, expected):
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
         monkeypatch.setattr(sweep_module, "_WORKERS", workers)
@@ -400,6 +408,52 @@ class TestAngleSweep:
         results = run_angle_sweep(self.fading_scenario(), [(0, 0), (60, 60)], self.spec)
         for a, b in zip(results[0].rows, results[1].rows):
             assert a.sinr_db - b.sinr_db == pytest.approx(6.0206, abs=1e-4)
+
+    @pytest.mark.parametrize("fading", [
+        FadingModel(mode=FadingMode.DETERMINISTIC),
+        FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=21)], ids=["det", "rayleigh"])
+    def test_same_bytes_as_one_distance_sweep_per_pair(self, fading):
+        scenario = dataclasses.replace(
+            irs_scenario(fading=fading),
+            interference=InterfererSet.modeled([(make_channel(), Point3(120, 30, 10)),
+                                                (make_channel(), Point3(-40, 60, 10))]))
+        pairs = [(0, 0), (45, 60), (0, 0), (89.5, 10)]
+        separate = [
+            run_distance_sweep(dataclasses.replace(
+                scenario, panel=dataclasses.replace(scenario.panel, theta_t=t, theta_r=r),
+                label=f"{scenario.label} theta_t={t:g} theta_r={r:g}"), self.spec)
+            for t, r in pairs]
+        together = run_angle_sweep(scenario, pairs, self.spec)
+        for fmt in ("csv", "json"):
+            assert render_results(together, fmt) == render_results(separate, fmt)
+        assert together[0].metadata is not together[2].metadata
+
+    def test_one_fading_pass_for_all_pairs(self, monkeypatch):
+        evaluations, drawn = [], []
+        real_evaluate, real_draw = sweep_module._evaluate, sweep_module.sample_fading_block
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return real_evaluate(*args, **kwargs)
+
+        def counting_draw(model, start_index, count):
+            drawn.append(count)
+            return real_draw(model, start_index, count)
+
+        monkeypatch.setattr(sweep_module, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(sweep_module, "sample_fading_block", counting_draw)
+        scenario = self.fading_scenario()
+        run_distance_sweep(scenario, self.spec)
+        one_sweep = sum(drawn)
+        evaluations.clear()
+        drawn.clear()
+        assert len(run_angle_sweep(scenario, [(45, 45), (60, 60), (0, 30)], self.spec)) == 3
+        assert len(evaluations) == 1
+        assert sum(drawn) == one_sweep == self.spec.steps * self.spec.trials
+        evaluations.clear()
+        drawn.clear()
+        assert run_angle_sweep(scenario, [], self.spec) == []
+        assert evaluations == drawn == []
 
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(InvalidInputError):
