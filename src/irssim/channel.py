@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Length
+
+if TYPE_CHECKING:  # geometry imports the real-number rule from this module
+    from irssim.geometry import Length
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -52,6 +55,15 @@ def _integer(name: str, value: int) -> int:
     return int(value)
 
 
+def _real(name: str, value: float) -> float:
+    """``value`` if it is a Python or numpy real number a float can hold; a bool
+    would run as 0 or 1, and a string would fail a range test with a TypeError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _seed(value: int) -> int:
     """A seed of the splitmix64 streams: an integer in [0, 2**64), as a Python int."""
     seed = _integer("seed", value)
@@ -73,17 +85,12 @@ class ChannelParams:
     noise_power: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.carrier_frequency < math.inf):
-            raise InvalidInputError(
-                f"carrier_frequency must be finite and > 0, got {self.carrier_frequency!r}")
-        if not (0 < self.tx_power < math.inf):
-            raise InvalidInputError(f"tx_power must be finite and > 0, got {self.tx_power!r}")
-        if not (0 <= self.path_loss_exponent < math.inf):
-            raise InvalidInputError(
-                f"path_loss_exponent must be finite and >= 0, got {self.path_loss_exponent!r}")
-        if not (0 < self.noise_power < math.inf):
-            raise InvalidInputError(
-                f"noise_power must be finite and > 0, got {self.noise_power!r}")
+        for name in ("carrier_frequency", "tx_power", "path_loss_exponent", "noise_power"):
+            value = _real(name, getattr(self, name))
+            if name == "path_loss_exponent" and not (0 <= value < math.inf):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
+            if name != "path_loss_exponent" and not (0 < value < math.inf):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def wavelength(self) -> float:
@@ -110,7 +117,7 @@ class IrsPanel:
 
     def __post_init__(self) -> None:
         for name in ("element_length", "element_width", "tx_gain", "rx_gain"):
-            value = getattr(self, name)
+            value = _real(name, getattr(self, name))
             if not (0 < value < math.inf):
                 raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("tx_side_elements", "rx_side_elements"):
@@ -118,11 +125,11 @@ class IrsPanel:
             if count < 1:
                 raise InvalidInputError(f"{name} must be an integer >= 1, got {count!r}")
             object.__setattr__(self, name, count)
-        if not (0 < self.reflection_coefficient <= 1):
+        if not (0 < _real("reflection_coefficient", self.reflection_coefficient) <= 1):
             raise InvalidInputError(
                 f"reflection_coefficient must lie in (0, 1], got {self.reflection_coefficient!r}")
         for name in ("theta_t", "theta_r"):
-            angle = getattr(self, name)
+            angle = _real(name, getattr(self, name))
             if not (0 <= angle < 90):
                 raise InvalidInputError(f"{name} must lie in [0, 90), got {angle!r}")
 

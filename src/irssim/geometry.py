@@ -13,6 +13,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from irssim.channel import _real
 from irssim.errors import DegenerateGeometryError, InvalidInputError
 
 
@@ -26,7 +27,7 @@ class Point3:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):
-            value = getattr(self, name)
+            value = _real(f"coordinate {name}", getattr(self, name))
             if not math.isfinite(value):
                 raise InvalidInputError(f"coordinate {name} must be finite, got {value!r}")
 

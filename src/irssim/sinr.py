@@ -12,6 +12,7 @@ from irssim.channel import (
     ChannelParams,
     ConventionalModel,
     FadingModel,
+    _real,
     conventional_rx_power,
     sample_fading_block,
 )
@@ -34,7 +35,7 @@ class InterfererSet:
     interferers: Tuple[Tuple[ChannelParams, Point3], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not (0 <= self.constant_power < math.inf):
+        if not (0 <= _real("constant interference", self.constant_power) < math.inf):
             raise InvalidInputError(
                 f"constant interference must be finite and >= 0 W, got {self.constant_power!r}")
 

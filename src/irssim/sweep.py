@@ -28,7 +28,7 @@ serially.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 import threading
@@ -44,6 +44,7 @@ from irssim.channel import (
     IrsPanel,
     _check_member,
     _integer,
+    _real,
     _seed,
     conventional_rx_power,
     irs_rx_power,
@@ -51,7 +52,7 @@ from irssim.channel import (
     watts_to_dbm,
 )
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, cascade_distances, distance
+from irssim.geometry import Point3, distance
 from irssim.sinr import InterfererSet, aggregate_interference
 
 # elements of the (receiver, trial) block of fading draws a worker holds at
@@ -117,7 +118,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (math.isfinite(_real("sweep start", self.start))
+                and math.isfinite(_real("sweep stop", self.stop))):
             raise InvalidInputError(
                 f"sweep start and stop must be finite, got [{self.start!r}, {self.stop!r}]")
         if not (self.start < self.stop):
@@ -201,17 +203,39 @@ def _signal_power(
     scenario: Scenario,
     irs: Optional[np.ndarray],
     rx: np.ndarray,
+    where: Callable[[Optional[int], int], str],
     panels: Optional[Sequence[IrsPanel]] = None,
 ) -> np.ndarray:
     """Unit-fading received power of each of A panels (by default the
     scenario's own) at each of K positions, shape (A*K, P) with row a*K + k;
-    conventional mode has one row."""
-    if scenario.irs is not None:
-        r1, r2 = cascade_distances(scenario.tx, irs[:, None, :], rx)
-        return np.concatenate([irs_rx_power(scenario.channel, panel, r1, r2)
-                               for panel in panels or (scenario.panel,)])
-    r = distance(scenario.tx, rx)
-    return conventional_rx_power(scenario.channel, r, 1.0, scenario.conventional_model)[None, :]
+    conventional mode has one row.
+
+    The legs and the interferers are checked first, as :func:`_evaluate`
+    describes, so the power formulas see no degenerate pair.
+    """
+    if irs is None:
+        legs = (distance(scenario.tx, rx)[None, :],)
+        faults = ["link distance must be > 0, got 0.0"]
+    else:
+        legs = (distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
+        faults = ["transmitter and reflector coincide (r1 = 0)",
+                  "reflector and receiver coincide (r2 = 0)"]
+    interferers = [position for _, position in scenario.interference.interferers]
+    faults += [f"interferer {j} at {position} coincides with the receiver"
+               for j, position in enumerate(interferers)]
+    # one mask per fault, in the order a single pair is checked
+    masks = [leg == 0.0 for leg in legs]
+    masks += list(distance(_as_array(interferers).reshape(-1, 1, 3), rx) == 0.0)
+    bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
+    if bad.any():
+        k, p = np.argwhere(bad)[0].tolist()
+        fault = next(f for f, mask in enumerate(masks) if np.broadcast_to(mask, bad.shape)[k, p])
+        raise DegenerateGeometryError(
+            f"{where(k if fault < len(legs) else None, p)}: {faults[fault]}")
+    if irs is None:
+        return conventional_rx_power(scenario.channel, legs[0], 1.0, scenario.conventional_model)
+    return np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
+                           for panel in panels or (scenario.panel,)])
 
 
 def _evaluate(
@@ -220,7 +244,7 @@ def _evaluate(
     rx: np.ndarray,
     trials: int,
     seed: int,
-    where: Callable[[int, int], str],
+    where: Callable[[Optional[int], int], str],
     percentiles: Sequence[float] = (),
     panels: Optional[Sequence[IrsPanel]] = None,
 ) -> _LinkStats:
@@ -229,40 +253,36 @@ def _evaluate(
     ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
     has shape (P, 3). Each row is scored over ``trials`` fading draws seeded
     by ``seed``, the same draws for every row; deterministic fading evaluates
-    one trial, since all are identical. A degenerate pair of position k and
-    receiver p, or a row k whose unit-fading power at receiver p is 0 W or
-    infinite (a link budget outside the float range), is reported as
-    ``where(k, p)``.
+    one trial, since all are identical. Before the fading pass, array checks
+    find the first fault of each kind, in row-major (k, p) order: a zero leg
+    or an interferer on receiver p (DegenerateGeometryError), then a row k
+    whose unit-fading power at receiver p is 0 W or not finite, then an
+    infinite noise-plus-interference power at receiver p (InvalidInputError,
+    a link budget outside the float range). A fault of the pair is named
+    ``where(k, p)``, one of receiver p alone ``where(None, p)``.
     """
     fading = scenario.fading
     if fading.is_random:
         fading = replace(fading, seed=seed)
     else:
         trials = 1
-    try:
-        # a link budget beyond the float range is reported below, not warned about
-        with np.errstate(over="ignore"):
-            signal = _signal_power(scenario, irs, rx, panels)
-        interference = aggregate_interference(
-            scenario.interference, rx, fading, scenario.conventional_model)
-    except DegenerateGeometryError:
-        # rare path: retry pair by pair to name the first offending one; the
-        # panel angles cannot make a pair degenerate
-        for k, p in itertools.product(range(1 if irs is None else len(irs)), range(len(rx))):
-            try:
-                _signal_power(scenario, None if irs is None else irs[k:k + 1], rx[p:p + 1])
-                aggregate_interference(scenario.interference, rx[p:p + 1], FadingModel())
-            except DegenerateGeometryError as exc:
-                raise DegenerateGeometryError(f"{where(k, p)}: {exc}") from exc
-        raise
-    bad = np.argwhere(~((signal > 0) & (signal < math.inf)))
-    if len(bad):
-        k, p = bad[0].tolist()
-        raise InvalidInputError(
-            f"{where(k, p)}: received power {float(signal[k, p])!r} W is outside the float range;"
-            " check the link budget")
+    # a power beyond the float range is reported below, not warned about
+    with np.errstate(all="ignore"):
+        signal = _signal_power(scenario, irs, rx, where, panels)
+        denominator = aggregate_interference(
+            scenario.interference, rx, fading, scenario.conventional_model
+        ) + scenario.channel.noise_power
+    for power, name, place in ((signal, "received power", where),
+                               (denominator[None, :], "interference plus noise power",
+                                lambda k, p: where(None, p))):
+        finite = (power > 0) & (power < math.inf)
+        if not finite.all():
+            k, p = np.argwhere(~finite)[0].tolist()
+            raise InvalidInputError(
+                f"{place(k, p)}: {name} {float(power[k, p])!r} W is outside the float range;"
+                " check the link budget")
     mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
-        fading, interference + scenario.channel.noise_power, trials, percentiles)
+        fading, denominator, trials, percentiles)
 
     # then shift by each row's unit-fading signal, (R, P) work
     signal_db = 10.0 * np.log10(signal)
@@ -451,7 +471,8 @@ def compare_placement(
         raise InvalidInputError("placement comparison needs >= 1 IRS and >= 1 rx position")
     stats = _evaluate(
         scenario, _as_array(irs_positions), _as_array(rx_positions), spec.trials, spec.seed,
-        where=lambda k, p: f"placement (irs={irs_positions[k]}, rx={rx_positions[p]})")
+        where=lambda k, p: "placement ({}rx={})".format(
+            "" if k is None else f"irs={irs_positions[k]}, ", rx_positions[p]))
     sinr_db = stats.sinr_db
     # adding the rows of the transpose in order is the sequential sum that
     # sum(per_rx) makes, so the mean matches it bit for bit

@@ -408,3 +408,34 @@ class TestValidation:
     def test_non_finite_rejected(self, build, field, value):
         with pytest.raises(InvalidInputError, match="finite"):
             build(**{field: value})
+
+    # a bool would run as 0 or 1, and a string used to fail with a bare TypeError
+    @pytest.mark.parametrize("build,field,value", [
+        (make_panel, "theta_t", True),
+        (make_panel, "element_length", True),
+        (make_panel, "reflection_coefficient", True),
+        (make_panel, "theta_t", "45"),
+        (make_params, "tx_power", True),
+        (make_params, "frequency", "28e9"),
+        (make_params, "alpha", np.bool_(True)),
+        (InterfererSet.constant, "watts", "1"),
+        (InterfererSet.constant, "watts", False),
+        (Point3, "x", True),
+        (Point3, "z", "1.5"),
+        (Point3, "y", 10 ** 400),
+        (make_params, "noise", -10 ** 400),
+        (lambda **kw: SweepSpec(**{"start": 1.0, "stop": 2.0, "steps": 5, **kw}), "start", False),
+        (lambda **kw: SweepSpec(**{"start": 1.0, "stop": 2.0, "steps": 5, **kw}), "stop", "2"),
+    ])
+    def test_real_fields_follow_the_real_number_rule(self, build, field, value):
+        kwargs = {"x": 1.0, "y": 2.0, "z": 3.0} if build is Point3 else {}
+        with pytest.raises(InvalidInputError, match="must be a real number"):
+            build(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("value", [2, np.float32(2.0), np.float64(2.0), np.int64(2)])
+    def test_python_and_numpy_reals_accepted(self, value):
+        assert make_params(tx_power=value).tx_power == 2.0
+        assert make_panel(theta_t=value).theta_t == 2.0
+        assert InterfererSet.constant(value).constant_power == 2.0
+        assert Point3(value, 0.0, 0.0).x == 2.0
+        assert SweepSpec(start=value, stop=3.0, steps=2).start == 2.0

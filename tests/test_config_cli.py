@@ -508,6 +508,17 @@ class TestCli:
             f"error: sweep point x=5.0: received power {power} W is outside the float range;"
             " check the link budget\n")
 
+    def test_degenerate_geometry_is_a_single_diagnostic(self, tmp_path, capsys):
+        text = readme_config()
+        assert "irs = 50 0 10\n" in text
+        config = tmp_path / "degenerate.ini"
+        config.write_text(text.replace("irs = 50 0 10\n", "irs = 0 0 10\n"))
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep point x=5.0: transmitter and reflector coincide (r1 = 0)\n")
+
     def test_huge_finite_link_budget_gives_finite_rows(self, tmp_path, capsys):
         # no reflector, 3070 dBm (1e304 W): the SINR ratio itself exceeds the
         # float range, its dB value does not

@@ -19,6 +19,7 @@ from irssim import (
     Point3,
     Scenario,
     SweepSpec,
+    build_preset,
     cascade_distances,
     compare_placement,
     irs_rx_power,
@@ -375,7 +376,8 @@ class TestSharedFading:
         rx = sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)])
         stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "",
                                        percentiles=(5, 50, 95))
-        signal_db = 10.0 * np.log10(sweep_module._signal_power(scenario, irs, rx))
+        signal_db = 10.0 * np.log10(
+            sweep_module._signal_power(scenario, irs, rx, where=lambda k, p: ""))
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
         assert np.all(stats.sinr_db_stddev == stats.sinr_db_stddev[0])
         assert np.all(stats.sinr_db_stddev[0] > 0)
@@ -604,8 +606,110 @@ class TestComparePlacement:
             irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
         rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
         signal = sweep_module._signal_power(
-            scenario, sweep_module._as_array([scenario.irs]), sweep_module._as_array(rx_positions))
+            scenario, sweep_module._as_array([scenario.irs]), sweep_module._as_array(rx_positions),
+            where=lambda k, p: "")
         assert signal[0, 0] > 0 and signal[0, 1] > 0 and signal[0, 2] == 0
         with pytest.raises(InvalidInputError,
                            match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
             compare_placement(scenario, [scenario.irs], rx_positions, self.spec)
+
+
+def two_interferers():
+    """Modeled interferers at (80, 0, 10) and at (51, 0, 10), a grid point of irs_scenario."""
+    return InterfererSet.modeled([(make_channel(), Point3(80, 0, 10)),
+                                  (make_channel(), Point3(51, 0, 10))])
+
+
+def subnormal_placement(spec):
+    """A placement whose receiver at x=400 gets 0 W: 1e-314 W underflows on its way."""
+    scenario = dataclasses.replace(
+        irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
+    rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
+    return compare_placement(scenario, [scenario.irs], rx_positions, spec)
+
+
+def hot_interferer_sweep():
+    """fig1 with a 1e308 W interferer 1 mm above its first grid point: infinite interference."""
+    scenario, spec = build_preset("fig1")
+    x, y, z = scenario.receivers_at(spec.grid()[:1])[0].tolist()
+    hot = InterfererSet.modeled(
+        [(dataclasses.replace(scenario.channel, tx_power=1e308), Point3(x, y, z + 1e-3))])
+    return run_distance_sweep(dataclasses.replace(scenario, interference=hot), spec)
+
+
+class TestFaults:
+    """One check over the kernel's arrays finds the first fault and names it."""
+
+    spec = SweepSpec(start=1.0, stop=2.0, steps=2, trials=4, seed=1)
+    grid = SweepSpec(start=1.0, stop=2.0, steps=2)
+
+    @pytest.mark.parametrize("run,error,message", [
+        (lambda self: run_distance_sweep(irs_scenario(irs=Point3(0, 0, 10)), self.grid),
+         DegenerateGeometryError,
+         "sweep point x=1.0: transmitter and reflector coincide (r1 = 0)"),
+        (lambda self: compare_placement(
+            irs_scenario(), [Point3(20, 0, 10), Point3(50, 0, 10)],
+            [Point3(20, 5, 1.5), Point3(50, 0, 10)], self.spec),
+         DegenerateGeometryError,
+         "placement (irs=Point3(x=50, y=0, z=10), rx=Point3(x=50, y=0, z=10)):"
+         " reflector and receiver coincide (r2 = 0)"),
+        (lambda self: monte_carlo_stats(conventional_scenario(), Point3(0, 0, 10), 10, 1),
+         DegenerateGeometryError,
+         "receiver Point3(x=0, y=0, z=10): link distance must be > 0, got 0.0"),
+        (lambda self: run_distance_sweep(
+            dataclasses.replace(irs_scenario(), interference=two_interferers()), self.grid),
+         DegenerateGeometryError,
+         "sweep point x=1.0: interferer 1 at Point3(x=51, y=0, z=10) coincides with the receiver"),
+        (lambda self: subnormal_placement(self.spec),
+         InvalidInputError,
+         "placement (irs=Point3(x=50, y=0, z=10), rx=Point3(x=400.0, y=0.0, z=1.5)):"
+         " received power 0.0 W is outside the float range; check the link budget"),
+        # the faults of a receiver alone name the receiver alone
+        (lambda self: compare_placement(
+            dataclasses.replace(irs_scenario(), interference=two_interferers()),
+            [Point3(20, 0, 10), Point3(30, 0, 10)], [Point3(20, 5, 1.5), Point3(51, 0, 10)],
+            self.spec),
+         DegenerateGeometryError,
+         "placement (rx=Point3(x=51, y=0, z=10)):"
+         " interferer 1 at Point3(x=51, y=0, z=10) coincides with the receiver"),
+        (lambda self: hot_interferer_sweep(),
+         InvalidInputError,
+         "sweep point x=5.0: interference plus noise power inf W is outside the float range;"
+         " check the link budget"),
+    ], ids=["sweep_r1", "placement_r2", "conventional_receiver", "sweep_interferer",
+            "subnormal_power", "placement_interferer", "infinite_interference"])
+    def test_message(self, run, error, message):
+        with pytest.raises(error) as caught:
+            run(self)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("first_receiver,expected", [
+        # pair (0, 0) has r2 = 0 and comes before the interferer's pair (0, 1)
+        (Point3(20, 0, 10), "placement (irs=Point3(x=20, y=0, z=10), rx=Point3(x=20, y=0, z=10)):"
+                            " reflector and receiver coincide (r2 = 0)"),
+        # r2 = 0 at pair (1, 0) comes after the interferer's pair (0, 1)
+        (Point3(30, 0, 10), "placement (rx=Point3(x=51, y=0, z=10)):"
+                            " interferer 1 at Point3(x=51, y=0, z=10) coincides with the receiver"),
+    ], ids=["zero_leg_first", "interferer_first"])
+    def test_first_fault_in_row_major_order(self, first_receiver, expected):
+        scenario = dataclasses.replace(irs_scenario(), interference=two_interferers())
+        with pytest.raises(DegenerateGeometryError) as caught:
+            compare_placement(scenario, [Point3(20, 0, 10), Point3(30, 0, 10)],
+                              [first_receiver, Point3(51, 0, 10)], self.spec)
+        assert str(caught.value) == expected
+
+    def test_a_fault_is_found_in_one_pass(self, monkeypatch):
+        calls = []
+        signal_power = sweep_module._signal_power
+
+        def counting_signal_power(*args, **kwargs):
+            calls.append(args)
+            return signal_power(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "_signal_power", counting_signal_power)
+        receivers = [Point3(-90.0 + 5.0 * p, 20.0, 1.5) for p in range(36)]
+        candidates = [Point3(10.0 + 0.045 * k, -5.0, 10.0) for k in range(1999)]
+        with pytest.raises(DegenerateGeometryError, match="r2 = 0"):
+            compare_placement(irs_scenario(), candidates + [receivers[-1]], receivers, self.spec)
+        assert len(calls) == 1
