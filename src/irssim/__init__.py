@@ -3,7 +3,7 @@
 import types
 
 from irssim.errors import ConfigError, DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, cascade_distances, distance
+from irssim.geometry import Point3, distance
 from irssim.channel import (
     ChannelParams,
     FadingModel,
@@ -16,11 +16,7 @@ from irssim.channel import (
     watts_to_dbm,
     wavelength,
 )
-from irssim.sinr import (
-    InterfererSet,
-    aggregate_interference,
-    thermal_noise_watts,
-)
+from irssim.sinr import InterfererSet, thermal_noise_watts
 from irssim.sweep import (
     MonteCarloStats,
     PlacementEntry,
@@ -38,7 +34,7 @@ from irssim.presets import PRESET_NAMES, build_preset
 from irssim.config import parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

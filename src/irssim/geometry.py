@@ -1,6 +1,6 @@
 """3D positions and the link distances consumed by the channel models.
 
-The distance functions take either :class:`Point3` values or numpy arrays of
+:func:`distance` takes either :class:`Point3` values or numpy arrays of
 coordinates with a trailing axis of length 3; arrays broadcast against each
 other and against points, and give arrays of distances.
 """
@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from irssim.channel import _real
-from irssim.errors import DegenerateGeometryError, InvalidInputError
+from irssim.errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,3 @@ def distance(a: Points, b: Points) -> Length:
     d = _coordinates(a) - _coordinates(b)
     r = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
     return float(r) if r.ndim == 0 else r
-
-
-def cascade_distances(tx: Points, irs: Points, rx: Points) -> Tuple[Length, Length]:
-    """Leg lengths (r1, r2) of the tx -> reflector -> rx path.
-
-    Both legs must be strictly positive because the cascaded power model
-    divides by (r1 * r2)^2. Built from coordinate arrays, r1 and r2 are the
-    broadcast arrays of leg lengths.
-    """
-    r1 = distance(tx, irs)
-    r2 = distance(irs, rx)
-    if np.any(np.equal(r1, 0.0)):
-        raise DegenerateGeometryError("transmitter and reflector coincide (r1 = 0)")
-    if np.any(np.equal(r2, 0.0)):
-        raise DegenerateGeometryError("reflector and receiver coincide (r2 = 0)")
-    return r1, r2

@@ -4,11 +4,12 @@ Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
 statistics) is one call of the array kernel :func:`_evaluate`, which scores
 signal rows against P receivers over T fading trials. A row is one panel at
 one reflector position: a placement search has a row per candidate
-position, an angle sweep a row per (theta_t, theta_r) pair. Every random
-draw is a pure function of (seed, stream index): trial t at receiver p uses
-index p*T + t, and the interferer draws follow the layout of
-:func:`irssim.sinr.aggregate_interference`, so every row sees the same draws
-(common random numbers). The noise-plus-interference power depends on the
+position, an angle sweep a row per (theta_t, theta_r) pair. The kernel owns
+the whole stream layout, and every random draw is a pure function of (seed,
+stream index): trial t at receiver p uses index p*T + t, and modeled
+interferer j at receiver p uses index ``_INTERFERENCE_STREAM_BASE + p*J + j``
+(J interferers), one gain shared by every trial. So every row sees the same
+draws (common random numbers). The noise-plus-interference power depends on the
 receiver only, so in dB the per-trial SINR is the row's unit-fading signal
 plus a fading term shared by all rows. The kernel therefore reduces the
 (P, T) fading terms once, walking the receivers in chunks sized by memory,
@@ -53,7 +54,7 @@ from irssim.channel import (
 )
 from irssim.errors import DegenerateGeometryError, InvalidInputError
 from irssim.geometry import Point3, distance
-from irssim.sinr import InterfererSet, aggregate_interference
+from irssim.sinr import InterfererSet
 
 # elements of the (receiver, trial) block of fading draws a worker holds at
 # once (512 KiB); a receiver with more trials gets a chunk of its own
@@ -61,6 +62,9 @@ _CHUNK_ELEMENTS = 1 << 16
 # the CPUs this process may run on: the most workers a fading pass starts
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# interferer draws live in their own half of the stream space, so they can
+# never collide with the signal draws p*T + t
+_INTERFERENCE_STREAM_BASE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,15 @@ class Scenario:
         if (self.panel is None) != (self.irs is None):
             raise InvalidInputError(
                 "a scenario carries both a panel and an IRS position, or neither")
-        norm = math.sqrt(sum(c * c for c in self.rx_direction))
+        direction = self.rx_direction
+        if not (isinstance(direction, (Sequence, np.ndarray)) and len(direction) == 3):
+            raise InvalidInputError(f"rx_direction must have 3 components, got {direction!r}")
+        if not all(math.isfinite(_real("rx_direction component", c)) for c in direction):
+            raise InvalidInputError(f"rx_direction must be finite, got {direction!r}")
+        norm = math.sqrt(sum(c * c for c in direction))
         if not (norm > 0 and math.isfinite(norm)):
-            raise InvalidInputError(f"rx_direction must be nonzero, got {self.rx_direction!r}")
+            raise InvalidInputError(
+                f"rx_direction must be nonzero with a finite norm, got {direction!r}")
 
     def receivers_at(self, xs: Sequence[float]) -> np.ndarray:
         """Receiver positions, shape (len(xs), 3), at swept distances xs along the ray."""
@@ -199,19 +209,24 @@ def _as_array(points: Sequence[Point3]) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
 
 
-def _signal_power(
+def _link_powers(
     scenario: Scenario,
     irs: Optional[np.ndarray],
     rx: np.ndarray,
+    fading: FadingModel,
     where: Callable[[Optional[int], int], str],
     panels: Optional[Sequence[IrsPanel]] = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Unit-fading received power of each of A panels (by default the
-    scenario's own) at each of K positions, shape (A*K, P) with row a*K + k;
-    conventional mode has one row.
+    scenario's own) at each of K positions, shape (A*K, P) with row a*K + k
+    (conventional mode has one row), and the interference power at each
+    receiver, shape (P,).
 
-    The legs and the interferers are checked first, as :func:`_evaluate`
-    describes, so the power formulas see no degenerate pair.
+    The interference is the constant floor plus the direct-link power of each
+    modeled interferer, faded by its gain at the receiver (stream index
+    ``_INTERFERENCE_STREAM_BASE + p*J + j``); with no interferers nothing is
+    drawn. The legs and the interferers are checked first, as
+    :func:`_evaluate` describes, so the power formulas see no degenerate pair.
     """
     if irs is None:
         legs = (distance(scenario.tx, rx)[None, :],)
@@ -220,12 +235,12 @@ def _signal_power(
         legs = (distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
         faults = ["transmitter and reflector coincide (r1 = 0)",
                   "reflector and receiver coincide (r2 = 0)"]
-    interferers = [position for _, position in scenario.interference.interferers]
+    interferers = scenario.interference.interferers
     faults += [f"interferer {j} at {position} coincides with the receiver"
-               for j, position in enumerate(interferers)]
+               for j, (_, position) in enumerate(interferers)]
+    reach = distance(_as_array([position for _, position in interferers]).reshape(-1, 1, 3), rx)
     # one mask per fault, in the order a single pair is checked
-    masks = [leg == 0.0 for leg in legs]
-    masks += list(distance(_as_array(interferers).reshape(-1, 1, 3), rx) == 0.0)
+    masks = [leg == 0.0 for leg in legs] + list(reach == 0.0)
     bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
     if bad.any():
         k, p = np.argwhere(bad)[0].tolist()
@@ -233,9 +248,28 @@ def _signal_power(
         raise DegenerateGeometryError(
             f"{where(k if fault < len(legs) else None, p)}: {faults[fault]}")
     if irs is None:
-        return conventional_rx_power(scenario.channel, legs[0], 1.0, scenario.conventional_model)
-    return np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
-                           for panel in panels or (scenario.panel,)])
+        signal = conventional_rx_power(scenario.channel, legs[0], 1.0, scenario.conventional_model)
+    else:
+        signal = np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
+                                 for panel in panels or (scenario.panel,)])
+    interference = np.full(len(rx), scenario.interference.constant_power)
+    if interferers:
+        gains = sample_fading_block(fading, _INTERFERENCE_STREAM_BASE, reach.size)
+        # the gains of interferer j are column j of the (P, J) block
+        for (params, _), r, gain in zip(interferers, reach, gains.reshape(len(rx), -1).T):
+            interference += conventional_rx_power(params, r, gain, scenario.conventional_model)
+    return signal, interference
+
+
+def _check_range(power: np.ndarray, name: str, place: Callable[[int, int], str]) -> None:
+    """Raise InvalidInputError at the first (k, p) in row-major order where
+    ``power`` is 0 W or not finite."""
+    finite = (power > 0) & (power < math.inf)
+    if not finite.all():
+        k, p = np.argwhere(~finite)[0].tolist()
+        raise InvalidInputError(
+            f"{place(k, p)}: {name} {float(power[k, p])!r} W is outside the float range;"
+            " check the link budget")
 
 
 def _evaluate(
@@ -248,7 +282,7 @@ def _evaluate(
     percentiles: Sequence[float] = (),
     panels: Optional[Sequence[IrsPanel]] = None,
 ) -> _LinkStats:
-    """Link statistics of the signal rows of :func:`_signal_power` against P receivers.
+    """Link statistics of the signal rows of :func:`_link_powers` against P receivers.
 
     ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
     has shape (P, 3). Each row is scored over ``trials`` fading draws seeded
@@ -258,8 +292,9 @@ def _evaluate(
     or an interferer on receiver p (DegenerateGeometryError), then a row k
     whose unit-fading power at receiver p is 0 W or not finite, then an
     infinite noise-plus-interference power at receiver p (InvalidInputError,
-    a link budget outside the float range). A fault of the pair is named
-    ``where(k, p)``, one of receiver p alone ``where(None, p)``.
+    a link budget outside the float range). After the pass, a mean received
+    power that is 0 W or not finite is the same fault. A fault of the pair
+    is named ``where(k, p)``, one of receiver p alone ``where(None, p)``.
     """
     fading = scenario.fading
     if fading.is_random:
@@ -268,26 +303,21 @@ def _evaluate(
         trials = 1
     # a power beyond the float range is reported below, not warned about
     with np.errstate(all="ignore"):
-        signal = _signal_power(scenario, irs, rx, where, panels)
-        denominator = aggregate_interference(
-            scenario.interference, rx, fading, scenario.conventional_model
-        ) + scenario.channel.noise_power
-    for power, name, place in ((signal, "received power", where),
-                               (denominator[None, :], "interference plus noise power",
-                                lambda k, p: where(None, p))):
-        finite = (power > 0) & (power < math.inf)
-        if not finite.all():
-            k, p = np.argwhere(~finite)[0].tolist()
-            raise InvalidInputError(
-                f"{place(k, p)}: {name} {float(power[k, p])!r} W is outside the float range;"
-                " check the link budget")
+        signal, interference = _link_powers(scenario, irs, rx, fading, where, panels)
+        denominator = interference + scenario.channel.noise_power
+    _check_range(signal, "received power", where)
+    _check_range(denominator[None, :], "interference plus noise power",
+                 lambda k, p: where(None, p))
     mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
         fading, denominator, trials, percentiles)
+    with np.errstate(all="ignore"):
+        power = signal * mean_gain
+    _check_range(power, "mean received power", where)
 
     # then shift by each row's unit-fading signal, (R, P) work
     signal_db = 10.0 * np.log10(signal)
     return _LinkStats(
-        power=signal * mean_gain,
+        power=power,
         sinr_db=signal_db + fade_db,
         sinr_db_stddev=np.broadcast_to(stddev, signal.shape),
         percentiles=signal_db + fade_percentiles[:, None, :],

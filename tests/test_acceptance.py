@@ -25,7 +25,6 @@ from irssim import (
     Scenario,
     SweepSpec,
     build_preset,
-    cascade_distances,
     compare_placement,
     conventional_rx_power,
     distance,
@@ -34,13 +33,17 @@ from irssim import (
     run_distance_sweep,
     sample_fading_block,
 )
-from irssim import sinr as sinr_module
 from irssim import sweep as sweep_engine
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
 def report(criterion: int, message: str) -> None:
     print(f"PASS criterion {criterion}: {message}")
+
+
+def legs_of(tx, irs, rx):
+    """The two legs (r1, r2) of the cascaded path tx -> irs -> rx."""
+    return distance(tx, irs), distance(irs, rx)
 
 
 def random_channel(rng):
@@ -99,8 +102,7 @@ def test_criterion_1_formula_oracles():
 
         panel = random_panel(rng)
         r1, r2 = rng.uniform(1.0, 200.0), rng.uniform(1.0, 200.0)
-        legs = cascade_distances(
-            Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0))
+        legs = legs_of(Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0))
         substituted = ((panel.element_length * panel.element_width
                         * panel.tx_side_elements * panel.rx_side_elements) ** 2
                        * panel.tx_gain * panel.rx_gain
@@ -162,7 +164,7 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
                 oracle_conventional_power(
                     ip, distance(position, receiver),
                     float(sample_fading_block(
-                        fading, sinr_module._INTERFERENCE_STREAM_BASE + p * n + j, 1)[0]),
+                        fading, sweep_engine._INTERFERENCE_STREAM_BASE + p * n + j, 1)[0]),
                     model)
                 for j, (ip, position) in enumerate(zip(interferer_params, interferers)))
             gains = sample_fading_block(fading, p * draws, draws)
@@ -180,7 +182,7 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
 def test_criterion_2_wavelength_cancellation():
     rng = random.Random(2)
     panel = random_panel(rng)
-    legs = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(40, 0, 0))
+    legs = legs_of(Point3(0, 0, 0), Point3(10, 0, 0), Point3(40, 0, 0))
     values = []
     for f in (1e9, 3e9, 28e9):
         params = ChannelParams(
@@ -194,8 +196,8 @@ def test_criterion_2_wavelength_cancellation():
 
 def test_criterion_3_scaling_laws():
     rng = random.Random(3)
-    legs = cascade_distances(Point3(0, 0, 0), Point3(5, 0, 0), Point3(25, 0, 0))
-    legs2 = cascade_distances(Point3(0, 0, 0), Point3(10, 0, 0), Point3(50, 0, 0))
+    legs = legs_of(Point3(0, 0, 0), Point3(5, 0, 0), Point3(25, 0, 0))
+    legs2 = legs_of(Point3(0, 0, 0), Point3(10, 0, 0), Point3(50, 0, 0))
     for alpha in (0.0, 1.0, 2.0, 3.7):
         params = ChannelParams(
             carrier_frequency=28e9, tx_power=1.0, path_loss_exponent=alpha,
@@ -302,7 +304,7 @@ def test_criterion_8_placement_comparison():
     for irs in candidates:
         sinrs = []
         for rx in rx_positions:
-            legs = cascade_distances(scenario.tx, irs, rx)
+            legs = legs_of(scenario.tx, irs, rx)
             power = irs_rx_power(scenario.channel, scenario.panel, *legs)
             sinrs.append(10.0 * math.log10(power / denominator))
         brute.append((irs, min(sinrs), sinrs))

@@ -15,9 +15,9 @@ from irssim import (
     IrsPanel,
     Point3,
     SweepSpec,
-    cascade_distances,
     conventional_rx_power,
     dbm_to_watts,
+    distance,
     irs_rx_power,
     irs_scattering_gain,
     sample_fading_block,
@@ -271,7 +271,8 @@ class TestScatteringGain:
 
 
 def unit_cascade(r1=1.0, r2=1.0):
-    return cascade_distances(Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0))
+    tx, irs, rx = Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0)
+    return distance(tx, irs), distance(irs, rx)
 
 
 class TestIrsRxPower:

@@ -1,15 +1,23 @@
 """Geometry tests: distances, cascade legs, degenerate cases."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from irssim import (
     DegenerateGeometryError,
+    FadingModel,
     InvalidInputError,
     Point3,
-    cascade_distances,
+    build_preset,
     distance,
+    irs_rx_power,
+    monte_carlo_stats,
 )
+from irssim.channel import FadingMode
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point3, finite, finite, finite)
@@ -51,24 +59,41 @@ class TestDistance:
         assert distance(a, b) >= 0.0
 
 
+SCENARIO = dataclasses.replace(build_preset("fig2b")[0],
+                               fading=FadingModel(mode=FadingMode.DETERMINISTIC))
+
+
+def kernel_power(tx, irs, rx):
+    """Received power of the cascaded link tx -> irs -> rx, as the kernel scores it."""
+    scenario = dataclasses.replace(SCENARIO, tx=tx, irs=irs)
+    return monte_carlo_stats(scenario, rx, trials=1, seed=0).mean_rx_power_w
+
+
+def formula_power(r1, r2):
+    r1, r2 = np.float64(r1), np.float64(r2)  # numpy floats overflow to inf, not to an error
+    with np.errstate(all="ignore"):
+        return float(irs_rx_power(SCENARIO.channel, SCENARIO.panel, r1, r2))
+
+
 class TestCascadeDistances:
+    """The kernel measures the legs of the cascaded path with two distance
+    calls: r1 from the transmitter to the reflector, r2 from it to the receiver."""
+
     def test_axis_aligned(self):
-        r1, r2 = cascade_distances(Point3(0, 0, 10), Point3(0, 0, 0), Point3(0, 40, 0))
-        assert r1 == 10.0
-        assert r2 == 40.0
+        assert kernel_power(Point3(0, 0, 10), Point3(0, 0, 0), Point3(0, 40, 0)) == pytest.approx(
+            formula_power(10.0, 40.0), rel=1e-15)
 
     def test_hand_evaluated_legs(self):
-        r1, r2 = cascade_distances(Point3(0, 0, 0), Point3(1, 2, 2), Point3(4, 6, 14))
-        assert r1 == pytest.approx(3.0, rel=1e-15)
-        assert r2 == pytest.approx(13.0, rel=1e-15)
+        assert kernel_power(Point3(0, 0, 0), Point3(1, 2, 2), Point3(4, 6, 14)) == pytest.approx(
+            formula_power(3.0, 13.0), rel=1e-15)
 
     def test_coincident_tx_irs_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            cascade_distances(Point3(1, 1, 1), Point3(1, 1, 1), Point3(2, 2, 2))
+        with pytest.raises(DegenerateGeometryError, match=r"r1 = 0"):
+            kernel_power(Point3(1, 1, 1), Point3(1, 1, 1), Point3(2, 2, 2))
 
     def test_coincident_irs_rx_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            cascade_distances(Point3(0, 0, 0), Point3(1, 1, 1), Point3(1, 1, 1))
+        with pytest.raises(DegenerateGeometryError, match=r"r2 = 0"):
+            kernel_power(Point3(0, 0, 0), Point3(1, 1, 1), Point3(1, 1, 1))
 
     @given(points, points, points)
     def test_agrees_with_two_distance_calls(self, tx, irs, rx):
@@ -76,6 +101,9 @@ class TestCascadeDistances:
         r2 = distance(irs, rx)
         if r1 == 0.0 or r2 == 0.0:
             with pytest.raises(DegenerateGeometryError):
-                cascade_distances(tx, irs, rx)
-        else:
-            assert cascade_distances(tx, irs, rx) == (r1, r2)
+                kernel_power(tx, irs, rx)
+        elif 0 < formula_power(r1, r2) < math.inf:
+            assert kernel_power(tx, irs, rx) == pytest.approx(formula_power(r1, r2), rel=1e-12)
+        else:  # legs so short, or so long, that the power leaves the float range
+            with pytest.raises(InvalidInputError, match="outside the float range"):
+                kernel_power(tx, irs, rx)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "ChannelParams", "ConfigError", "DegenerateGeometryError", "FadingModel", "InterfererSet",
     "InvalidInputError", "IrsPanel", "MonteCarloStats", "PlacementEntry", "PlacementReport",
     "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepRow", "SweepSpec",
-    "aggregate_interference", "build_preset", "cascade_distances", "compare_placement",
+    "build_preset", "compare_placement",
     "conventional_rx_power", "dbm_to_watts", "distance", "emit_results", "irs_rx_power",
     "irs_scattering_gain", "monte_carlo_stats", "parse_scenario", "run_angle_sweep",
     "run_distance_sweep", "sample_fading_block", "thermal_noise_watts", "watts_to_dbm",
@@ -23,12 +23,12 @@ PUBLIC_NAMES = {
 
 # public classes and functions defined in each model module
 DEFINED = {
-    irssim.geometry: {"Point3", "distance", "cascade_distances"},
+    irssim.geometry: {"Point3", "distance"},
     irssim.channel: {
         "FadingMode", "ConventionalModel", "ChannelParams", "IrsPanel", "FadingModel",
         "wavelength", "watts_to_dbm", "dbm_to_watts", "ratio_from_db", "sample_fading_block",
         "conventional_rx_power", "irs_scattering_gain", "irs_rx_power"},
-    irssim.sinr: {"InterfererSet", "aggregate_interference", "thermal_noise_watts"},
+    irssim.sinr: {"InterfererSet", "thermal_noise_watts"},
 }
 
 FIELDS = {
@@ -75,4 +75,5 @@ def test_value_types_have_no_public_methods(cls):
 
 def test_sinr_attribute_is_the_submodule():
     assert inspect.ismodule(irssim.sinr)
-    assert irssim.sinr.aggregate_interference is irssim.aggregate_interference
+    assert irssim.sinr.InterfererSet is irssim.InterfererSet
+    assert irssim.sinr.thermal_noise_watts is irssim.thermal_noise_watts

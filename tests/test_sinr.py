@@ -1,8 +1,7 @@
-"""Interference aggregation and noise floor tests."""
+"""Interference and noise floor tests: the denominator of the SINR, as the kernel sums it."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from irssim import (
@@ -12,16 +11,12 @@ from irssim import (
     InterfererSet,
     InvalidInputError,
     Point3,
+    Scenario,
     conventional_rx_power,
-    aggregate_interference,
+    monte_carlo_stats,
     thermal_noise_watts,
 )
 from irssim.channel import FadingMode
-
-
-def one_rx(x, y, z):
-    """Coordinates of a single receiver, shape (1, 3)."""
-    return np.array([[x, y, z]], dtype=float)
 
 
 def make_params():
@@ -33,66 +28,65 @@ def make_params():
     )
 
 
+def denominator(interference, rx=Point3(0, 0, 0)):
+    """Interference plus noise power at ``rx``, in watts, read back from a
+    deterministic monte_carlo_stats: the mean power over the SINR."""
+    scenario = Scenario(channel=make_params(), fading=FadingModel(mode=FadingMode.DETERMINISTIC),
+                        interference=interference, tx=Point3(0, 0, 50))
+    stats = monte_carlo_stats(scenario, rx, trials=1, seed=0)
+    return stats.mean_rx_power_w / 10.0 ** (stats.mean_sinr_db / 10.0)
+
+
+def interference_at(interference, rx=Point3(0, 0, 0)):
+    return denominator(interference, rx) - make_params().noise_power
+
+
 class TestAggregateInterference:
-    deterministic = FadingModel(mode=FadingMode.DETERMINISTIC)
+    """The kernel's interference term: the constant floor plus each modeled interferer."""
 
     def test_constant_passthrough(self):
-        assert aggregate_interference(
-            InterfererSet.constant(1e-11), one_rx(0, 0, 0), self.deterministic)[0] == 1e-11
+        assert interference_at(InterfererSet.constant(1e-11)) == pytest.approx(1e-11, rel=1e-12)
 
     def test_empty_modeled_set(self):
-        assert aggregate_interference(
-            InterfererSet.modeled([]), one_rx(0, 0, 0), self.deterministic)[0] == 0.0
+        assert denominator(InterfererSet.modeled([])) == denominator(InterfererSet())
+        assert interference_at(InterfererSet.modeled([])) == pytest.approx(0.0, abs=1e-25)
 
     def test_two_equidistant_interferers_double(self):
         params = make_params()
-        rx = one_rx(0, 0, 0)
         pair = InterfererSet.modeled([
             (params, Point3(10, 0, 0)),
             (params, Point3(-10, 0, 0)),
         ])
         single = InterfererSet.modeled([(params, Point3(10, 0, 0))])
-        total = aggregate_interference(pair, rx, self.deterministic)[0]
-        one = aggregate_interference(single, rx, self.deterministic)[0]
-        assert total == pytest.approx(2.0 * one, rel=1e-12)
+        assert interference_at(pair) == pytest.approx(2.0 * interference_at(single), rel=1e-12)
 
     def test_union_linearity(self):
         params = make_params()
-        rx = one_rx(1, 2, 3)
+        rx = Point3(1, 2, 3)
         left = [(params, Point3(30, 0, 5))]
         right = [(params, Point3(0, 40, 5)), (params, Point3(-20, -20, 5))]
-        combined = aggregate_interference(
-            InterfererSet.modeled(left + right), rx, self.deterministic)[0]
-        parts = (aggregate_interference(InterfererSet.modeled(left), rx, self.deterministic)[0]
-                 + aggregate_interference(InterfererSet.modeled(right), rx, self.deterministic)[0])
+        combined = interference_at(InterfererSet.modeled(left + right), rx)
+        parts = (interference_at(InterfererSet.modeled(left), rx)
+                 + interference_at(InterfererSet.modeled(right), rx))
         assert combined == pytest.approx(parts, rel=1e-12)
 
     def test_modeled_value_matches_direct_model(self):
         params = make_params()
-        rx = one_rx(0, 0, 0)
         interferer_set = InterfererSet.modeled([(params, Point3(0, 25, 0))])
-        total = aggregate_interference(interferer_set, rx, self.deterministic)[0]
-        assert total == pytest.approx(conventional_rx_power(params, 25.0), rel=1e-12)
+        assert interference_at(interferer_set) == pytest.approx(
+            conventional_rx_power(params, 25.0), rel=1e-12)
 
     def test_coincident_interferer_rejected(self):
         interferer_set = InterfererSet.modeled([(make_params(), Point3(1, 1, 1))])
-        with pytest.raises(DegenerateGeometryError):
-            aggregate_interference(interferer_set, one_rx(1, 1, 1), self.deterministic)
+        with pytest.raises(DegenerateGeometryError, match="interferer 0 .* coincides"):
+            interference_at(interferer_set, Point3(1, 1, 1))
 
     def test_floor_plus_interferers_sum(self):
         params = make_params()
         interferer_set = InterfererSet(constant_power=1e-11,
                                        interferers=((params, Point3(0, 25, 0)),))
-        total = aggregate_interference(interferer_set, one_rx(0, 0, 0), self.deterministic)[0]
-        assert total == pytest.approx(1e-11 + conventional_rx_power(params, 25.0), rel=1e-12)
-
-    @pytest.mark.parametrize("interferers", [(), ((make_params(), Point3(0, 25, 0)),)])
-    @pytest.mark.parametrize("rx", [Point3(0, 0, 0), np.zeros(3), np.zeros((1, 2)),
-                                    [[0.0, 0.0, 0.0]]])
-    def test_rx_must_be_an_array_of_coordinates(self, interferers, rx):
-        interferer_set = InterfererSet(constant_power=1e-11, interferers=interferers)
-        with pytest.raises(InvalidInputError, match=r"shape \(P, 3\)"):
-            aggregate_interference(interferer_set, rx, self.deterministic)
+        assert interference_at(interferer_set) == pytest.approx(
+            1e-11 + conventional_rx_power(params, 25.0), rel=1e-12)
 
     def test_constant_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError):

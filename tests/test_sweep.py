@@ -20,8 +20,8 @@ from irssim import (
     Scenario,
     SweepSpec,
     build_preset,
-    cascade_distances,
     compare_placement,
+    distance,
     irs_rx_power,
     monte_carlo_stats,
     run_angle_sweep,
@@ -150,6 +150,27 @@ class TestScenario:
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInputError):
             dataclasses.replace(conventional_scenario(), rx_direction=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("direction,message", [
+        (("1", 0, 0), "rx_direction component must be a real number, got '1'"),
+        ((True, 0, 0), "rx_direction component must be a real number, got True"),
+        ((1, 0), "rx_direction must have 3 components, got (1, 0)"),
+        ((1, 0, 0, 0), "rx_direction must have 3 components, got (1, 0, 0, 0)"),
+        (1.0, "rx_direction must have 3 components, got 1.0"),
+        ((math.nan, 0, 0), "rx_direction must be finite, got (nan, 0, 0)"),
+        ((0, math.inf, 0), "rx_direction must be finite, got (0, inf, 0)"),
+        ((1e200, 0, 0), "rx_direction must be nonzero with a finite norm, got (1e+200, 0, 0)"),
+    ], ids=["string", "bool", "two", "four", "scalar", "nan", "inf", "norm_overflow"])
+    def test_direction_follows_the_real_number_rule(self, direction, message):
+        with pytest.raises(InvalidInputError) as caught:
+            dataclasses.replace(conventional_scenario(), rx_direction=direction)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("direction", [[0, 2, 0], np.array([0.0, 2.0, 0.0]),
+                                           (np.float64(0), np.int64(2), 0.0)])
+    def test_direction_may_be_any_sequence_of_three_reals(self, direction):
+        scenario = dataclasses.replace(conventional_scenario(), rx_direction=direction)
+        np.testing.assert_array_equal(scenario.receivers_at([5.0]), [[0.0, 5.0, 10.0]])
 
 
 class TestDistanceSweep:
@@ -376,8 +397,8 @@ class TestSharedFading:
         rx = sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)])
         stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "",
                                        percentiles=(5, 50, 95))
-        signal_db = 10.0 * np.log10(
-            sweep_module._signal_power(scenario, irs, rx, where=lambda k, p: ""))
+        signal_db = 10.0 * np.log10(sweep_module._link_powers(
+            scenario, irs, rx, scenario.fading, where=lambda k, p: "")[0])
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
         assert np.all(stats.sinr_db_stddev == stats.sinr_db_stddev[0])
         assert np.all(stats.sinr_db_stddev[0] > 0)
@@ -524,7 +545,7 @@ class TestComparePlacement:
         candidates = [Point3(x, 0, 10) for x in (20, 40, 60, 90)]
         report = compare_placement(scenario, candidates, [rx], self.spec)
         products = {
-            irs: math.prod(cascade_distances(scenario.tx, irs, rx))
+            irs: distance(scenario.tx, irs) * distance(irs, rx)
             for irs in candidates
         }
         best = min(candidates, key=lambda p: products[p])
@@ -539,8 +560,8 @@ class TestComparePlacement:
         def brute_min_sinr(irs):
             worst = math.inf
             for rx in rx_positions:
-                legs = cascade_distances(scenario.tx, irs, rx)
-                power = irs_rx_power(scenario.channel, scenario.panel, *legs)
+                power = irs_rx_power(scenario.channel, scenario.panel,
+                                     distance(scenario.tx, irs), distance(irs, rx))
                 ratio = power / (scenario.interference.constant_power
                                  + scenario.channel.noise_power)
                 worst = min(worst, 10.0 * math.log10(ratio))
@@ -605,13 +626,27 @@ class TestComparePlacement:
         scenario = dataclasses.replace(
             irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
         rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
-        signal = sweep_module._signal_power(
+        signal, _ = sweep_module._link_powers(
             scenario, sweep_module._as_array([scenario.irs]), sweep_module._as_array(rx_positions),
-            where=lambda k, p: "")
+            scenario.fading, where=lambda k, p: "")
         assert signal[0, 0] > 0 and signal[0, 1] > 0 and signal[0, 2] == 0
         with pytest.raises(InvalidInputError,
                            match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
             compare_placement(scenario, [scenario.irs], rx_positions, self.spec)
+
+
+def overflowing_mean_power_sweep():
+    """fig2b at 1e300 W, with a unit-fading power of 1.2e308 W at x=5: one
+    Rayleigh trial at x=7 lifts the mean power beyond the float range."""
+    scenario, spec = build_preset("fig2b")
+    channel = dataclasses.replace(scenario.channel, tx_power=1e300)
+    unit_power = irs_rx_power(channel, scenario.panel, distance(scenario.tx, scenario.irs), 5.0)
+    scenario = dataclasses.replace(
+        scenario, channel=channel,
+        panel=dataclasses.replace(scenario.panel,
+                                  tx_gain=scenario.panel.tx_gain * (1.2e308 / unit_power)),
+        fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=0))
+    return run_distance_sweep(scenario, dataclasses.replace(spec, trials=1, seed=0))
 
 
 def two_interferers():
@@ -676,8 +711,13 @@ class TestFaults:
          InvalidInputError,
          "sweep point x=5.0: interference plus noise power inf W is outside the float range;"
          " check the link budget"),
+        (lambda self: overflowing_mean_power_sweep(),
+         InvalidInputError,
+         "sweep point x=7.0: mean received power inf W is outside the float range;"
+         " check the link budget"),
     ], ids=["sweep_r1", "placement_r2", "conventional_receiver", "sweep_interferer",
-            "subnormal_power", "placement_interferer", "infinite_interference"])
+            "subnormal_power", "placement_interferer", "infinite_interference",
+            "mean_power_overflow"])
     def test_message(self, run, error, message):
         with pytest.raises(error) as caught:
             run(self)
@@ -701,13 +741,13 @@ class TestFaults:
 
     def test_a_fault_is_found_in_one_pass(self, monkeypatch):
         calls = []
-        signal_power = sweep_module._signal_power
+        link_powers = sweep_module._link_powers
 
-        def counting_signal_power(*args, **kwargs):
+        def counting_link_powers(*args, **kwargs):
             calls.append(args)
-            return signal_power(*args, **kwargs)
+            return link_powers(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_signal_power", counting_signal_power)
+        monkeypatch.setattr(sweep_module, "_link_powers", counting_link_powers)
         receivers = [Point3(-90.0 + 5.0 * p, 20.0, 1.5) for p in range(36)]
         candidates = [Point3(10.0 + 0.045 * k, -5.0, 10.0) for k in range(1999)]
         with pytest.raises(DegenerateGeometryError, match="r2 = 0"):
