@@ -187,10 +187,14 @@ def ratio_from_db(db: float) -> float:
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_M2 = np.uint64(0x94D049BB133111EB)
+# built once: the Python between the array calls of a block holds the
+# interpreter lock, which the other fading workers wait on
+_GAMMA = int(_SM64_GAMMA)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
-# draws are made in blocks of this many stream indices (256 KiB of state),
-# so every step of the hash and the logarithm runs on cache-resident data
+# the splitmix64 state is hashed in blocks of this many stream indices (256
+# KiB, with as much scratch), so every step of the hash runs on cache-resident data
 _HASH_BLOCK = 1 << 15
 # j * gamma for j < _HASH_BLOCK: the counter state of a block starting at index
 # i is (i + 1) * gamma + seed plus this row, modulo 2**64 as in splitmix64
@@ -198,42 +202,56 @@ _COUNTER_STEPS = np.arange(_HASH_BLOCK, dtype=np.uint64)
 _COUNTER_STEPS *= _SM64_GAMMA
 
 
-def _exponential_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Unit-mean exponential draws for stream indices start_index, ... into out.
+def _hash_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """The top 53 bits of the splitmix64 output of stream indices start_index,
+    ... as floats in out.
 
-    Hashes the splitmix64 state in place in ``out``, viewed as integers, with
-    ``scratch`` (at least len(out) integers) holding the shifted state.
+    Hashes the state in place in ``out``, viewed as integers, with ``scratch``
+    (at least len(out) integers) holding the shifted state.
     """
     count = len(out)
     z = out.view(np.uint64)
     scratch = scratch[:count]
-    first = (start_index + 1) * int(_SM64_GAMMA) + seed
-    np.add(_COUNTER_STEPS[:count], np.uint64(first % 2 ** 64), out=z)
-    for shift, multiplier in ((30, _SM64_M1), (27, _SM64_M2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=scratch)
-        z ^= scratch
-        if multiplier is not None:
-            z *= multiplier
-    # top 53 bits, offset by half an ulp to avoid both endpoints of (0, 1)
-    np.right_shift(z, np.uint64(11), out=scratch)
-    np.copyto(out, scratch, casting="unsafe")
-    out += 0.5
-    out *= 2.0 ** -53
-    np.log(out, out=out)
-    np.negative(out, out=out)
+    np.add(_COUNTER_STEPS[:count], np.uint64(((start_index + 1) * _GAMMA + seed) % 2 ** 64), z)
+    np.right_shift(z, _SHIFT_30, scratch)
+    z ^= scratch
+    z *= _SM64_M1
+    np.right_shift(z, _SHIFT_27, scratch)
+    z ^= scratch
+    z *= _SM64_M2
+    np.right_shift(z, _SHIFT_31, scratch)
+    z ^= scratch
+    # the top 53 bits lie below 2**53, so their signed view casts exactly
+    np.right_shift(z, _SHIFT_11, scratch)
+    np.copyto(out, scratch.view(np.int64), casting="unsafe")
 
 
 def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
-    """Fading gains for stream indices start_index .. start_index+count-1."""
+    """Fading gains for stream indices start_index .. start_index+count-1,
+    which must lie in [0, 2**64)."""
+    start_index = _integer("start_index", start_index)
+    count = _integer("count", count)
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, got {count!r}")
+    if not (0 <= start_index and start_index + count <= 2 ** 64):
+        raise InvalidInputError(
+            "stream indices must lie in [0, 2**64),"
+            f" got start_index={start_index!r} and count={count!r}")
     if model.mode is FadingMode.DETERMINISTIC:
         return np.ones(count)
     gains = np.empty(count)
     scratch = np.empty(min(count, _HASH_BLOCK), dtype=np.uint64)
-    seed = int(model.seed)
+    seed = model.seed
     for first in range(0, count, _HASH_BLOCK):
-        _exponential_block(seed, start_index + first, gains[first:first + _HASH_BLOCK], scratch)
+        _hash_block(seed, start_index + first, gains[first:first + _HASH_BLOCK], scratch)
+    # the elementwise rest runs once over the whole row, not per block: the
+    # fading workers overlap long array calls, while short ones mostly wait
+    # on each other for the interpreter lock. Offset by half an ulp to avoid
+    # both endpoints of (0, 1), then -log of that uniform
+    gains += 0.5
+    gains *= 2.0 ** -53
+    np.log(gains, gains)
+    np.negative(gains, gains)
     return gains
 
 

@@ -42,6 +42,9 @@ def _coordinates(p: Points) -> np.ndarray:
 
 def distance(a: Points, b: Points) -> Length:
     """Euclidean distance in meters: a float for two points, else an array."""
-    d = _coordinates(a) - _coordinates(b)
-    r = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+    a, b = _coordinates(a), _coordinates(b)
+    # one difference per axis, each contiguous: the same sums as squaring
+    # strided views of a - b, in the same order
+    dx, dy, dz = (a[..., i] - b[..., i] for i in range(3))
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     return float(r) if r.ndim == 0 else r

@@ -92,6 +92,9 @@ class Scenario:
         if (self.panel is None) != (self.irs is None):
             raise InvalidInputError(
                 "a scenario carries both a panel and an IRS position, or neither")
+        for name in ("tx",) if self.irs is None else ("tx", "irs"):
+            if not isinstance(getattr(self, name), Point3):
+                raise InvalidInputError(f"{name} must be a Point3, got {getattr(self, name)!r}")
         direction = self.rx_direction
         if not (isinstance(direction, (Sequence, np.ndarray)) and len(direction) == 3):
             raise InvalidInputError(f"rx_direction must have 3 components, got {direction!r}")
@@ -204,8 +207,12 @@ class _LinkStats(NamedTuple):
     percentiles: np.ndarray  # (Q, R, P) per-trial SINR percentiles in dB
 
 
-def _as_array(points: Sequence[Point3]) -> np.ndarray:
-    """Coordinates of the points, shape (len(points), 3)."""
+def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
+    """Coordinates of the points, shape (len(points), 3); any other value is
+    an InvalidInputError that names the argument ``name``."""
+    if not all(isinstance(p, Point3) for p in points):
+        bad = next(p for p in points if not isinstance(p, Point3))
+        raise InvalidInputError(f"{name} must be a Point3, got {bad!r}")
     return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
 
 
@@ -238,7 +245,8 @@ def _link_powers(
     interferers = scenario.interference.interferers
     faults += [f"interferer {j} at {position} coincides with the receiver"
                for j, (_, position) in enumerate(interferers)]
-    reach = distance(_as_array([position for _, position in interferers]).reshape(-1, 1, 3), rx)
+    reach = distance(_as_array([position for _, position in interferers], "interferer position")
+                     .reshape(-1, 1, 3), rx)
     # one mask per fault, in the order a single pair is checked
     masks = [leg == 0.0 for leg in legs] + list(reach == 0.0)
     bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
@@ -351,25 +359,30 @@ def _fading_statistics(
     def reduce(first: int, stop: int) -> None:
         # each chunk writes only its own receivers' entries, so workers may
         # reduce disjoint ranges concurrently; an exception is recorded, and
-        # raised once every worker has ended
+        # raised once every worker has ended. Sums are np.add.reduce then a
+        # division, numpy.mean's own arithmetic without its Python wrapper,
+        # and every step runs in place: the Python between the array calls
+        # holds the interpreter lock that the other workers wait on
         try:
             for start in range(first, stop, step):
                 chunk = slice(start, min(start + step, stop))
                 n = chunk.stop - start
                 block = sample_fading_block(fading, start * trials, n * trials).reshape(n, trials)
-                block.mean(axis=-1, out=mean_gain[chunk])
-                np.divide(block, denominator[chunk, None], out=block)
-                np.log10(block, out=block)
-                np.multiply(block, 10.0, out=block)
-                mean_db = block.mean(axis=-1, out=fade_db[chunk])
+                gain = np.add.reduce(block, -1, None, mean_gain[chunk])
+                gain /= trials
+                block /= denominator[chunk, None]
+                np.log10(block, block)
+                block *= 10.0
+                mean_db = np.add.reduce(block, -1, None, fade_db[chunk])
+                mean_db /= trials
                 if len(percentiles):
                     fade_percentiles[:, chunk] = np.percentile(block, percentiles, axis=-1)
                 # population stddev, step for step as numpy.std, without its temporary
-                np.subtract(block, mean_db[:, None], out=block)
-                np.square(block, out=block)
-                spread = block.sum(axis=-1, out=stddev[chunk])
-                np.divide(spread, trials, out=spread)
-                np.sqrt(spread, out=spread)
+                block -= mean_db[:, None]
+                np.square(block, block)
+                spread = np.add.reduce(block, -1, None, stddev[chunk])
+                spread /= trials
+                np.sqrt(spread, spread)
                 del block  # free this chunk's draws before the next chunk's are made
         except BaseException as exc:
             errors.append(exc)
@@ -471,7 +484,7 @@ def monte_carlo_stats(
 ) -> MonteCarloStats:
     """Fading statistics of the link to a fixed receiver position."""
     trials, seed = _check_trials_and_seed(trials, seed)
-    stats = _evaluate(scenario, _irs_of(scenario), _as_array([point]), trials, seed,
+    stats = _evaluate(scenario, _irs_of(scenario), _as_array([point], "point"), trials, seed,
                       where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
     return MonteCarloStats(
         mean_sinr_db=float(stats.sinr_db[0, 0]),
@@ -500,7 +513,8 @@ def compare_placement(
     if not irs_positions or not rx_positions:
         raise InvalidInputError("placement comparison needs >= 1 IRS and >= 1 rx position")
     stats = _evaluate(
-        scenario, _as_array(irs_positions), _as_array(rx_positions), spec.trials, spec.seed,
+        scenario, _as_array(irs_positions, "irs_positions entry"),
+        _as_array(rx_positions, "rx_positions entry"), spec.trials, spec.seed,
         where=lambda k, p: "placement ({}rx={})".format(
             "" if k is None else f"irs={irs_positions[k]}, ", rx_positions[p]))
     sinr_db = stats.sinr_db

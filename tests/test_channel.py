@@ -173,6 +173,33 @@ class TestFading:
                                 sample_fading_block(model, start + split, count - split)])
         assert whole.tobytes() == parts.tobytes()
 
+    @pytest.mark.parametrize("mode", list(FadingMode))
+    @pytest.mark.parametrize("start,count,message", [
+        (1.5, 1, "start_index must be an integer, got 1.5"),
+        (True, 1, "start_index must be an integer, got True"),
+        (0, 2.0, "count must be an integer, got 2.0"),
+        (0, False, "count must be an integer, got False"),
+        (0, -1, "count must be >= 0, got -1"),
+        (-1, 1, "stream indices must lie in [0, 2**64), got start_index=-1 and count=1"),
+        (2**64 + 1, 1,
+         f"stream indices must lie in [0, 2**64), got start_index={2**64 + 1} and count=1"),
+        (2**64 - 1, 2,
+         f"stream indices must lie in [0, 2**64), got start_index={2**64 - 1} and count=2"),
+    ], ids=["float_start", "bool_start", "float_count", "bool_count", "negative_count",
+            "negative_start", "past_the_end", "across_the_end"])
+    def test_indices_follow_the_integer_rule(self, mode, start, count, message):
+        model = FadingModel(mode=mode, seed=5)
+        with pytest.raises(InvalidInputError) as caught:
+            sample_fading_block(model, start, count)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("start,count", [(np.uint64(2**64 - 3), np.int64(3)), (2**64, 0)])
+    def test_indices_may_reach_the_end_of_the_stream_space(self, start, count):
+        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=5)
+        draws = sample_fading_block(model, start, count)
+        assert draws.tobytes() == b"".join(
+            sample_fading_block(model, int(start) + i, 1).tobytes() for i in range(count))
+
     def test_mode_must_be_a_member(self):
         with pytest.raises(InvalidInputError,
                            match="FadingMode.DETERMINISTIC or FadingMode.RAYLEIGH_EXPONENTIAL"):

@@ -147,6 +147,12 @@ class TestScenario:
                            match="ConventionalModel.PAPER or ConventionalModel.FRIIS"):
             dataclasses.replace(conventional_scenario(), conventional_model="paper")
 
+    @pytest.mark.parametrize("name", ["tx", "irs"])
+    def test_positions_must_be_points(self, name):
+        with pytest.raises(InvalidInputError) as caught:
+            dataclasses.replace(irs_scenario(), **{name: (50.0, 0.0, 10.0)})
+        assert str(caught.value) == f"{name} must be a Point3, got (50.0, 0.0, 10.0)"
+
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInputError):
             dataclasses.replace(conventional_scenario(), rx_direction=(0.0, 0.0, 0.0))
@@ -385,6 +391,29 @@ class TestWorkers:
         assert peaks[2] <= 2 * row_bytes + 2 ** 20
 
 
+class TestFadingStatistics:
+    """The in-place reduction is numpy's own mean and std, bit for bit."""
+
+    # one chunk of all receivers, and one chunk per receiver (2 workers), the
+    # second across the hash blocks of the draws
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 50, 3 * 2**15 + 5, 100_000])
+    def test_bit_identical_to_numpy(self, monkeypatch, workers, trials):
+        monkeypatch.setattr(sweep_module, "_WORKERS", workers)
+        fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=11)
+        denominator = np.geomspace(1e-13, 1e-9, 7)
+        stats = sweep_module._fading_statistics(fading, denominator, trials, (5, 95))
+        expected = [[], [], [], []]
+        for p, d in enumerate(denominator):
+            g = sweep_module.sample_fading_block(fading, p * trials, trials)
+            x = 10 * np.log10(g / d)
+            for column, value in zip(expected, (np.mean(g), np.mean(x), np.std(x),
+                                                np.percentile(x, (5, 95)))):
+                column.append(value)
+        for actual, wanted in zip(stats, expected):
+            assert actual.tobytes() == np.array(wanted).T.tobytes()
+
+
 class TestSharedFading:
     """The trial part of the SINR depends on the receiver only, never on the position."""
 
@@ -515,6 +544,11 @@ class TestMonteCarloStats:
         assert stats.p5_sinr_db < stats.mean_sinr_db < stats.p95_sinr_db
         assert stats.stddev_sinr_db > 0
 
+    def test_point_must_be_a_point(self):
+        with pytest.raises(InvalidInputError) as caught:
+            monte_carlo_stats(irs_scenario(), (70.0, 0.0, 1.5), 10, 1)
+        assert str(caught.value) == "point must be a Point3, got (70.0, 0.0, 1.5)"
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range_rejected(self, seed):
         scenario = conventional_scenario(
@@ -578,6 +612,24 @@ class TestComparePlacement:
         with pytest.raises(DegenerateGeometryError, match="rx="):
             compare_placement(
                 scenario, [Point3(50, 0, 10)], [Point3(50, 0, 10)], self.spec)
+
+    @pytest.mark.parametrize("irs,rx,message", [
+        ([(50.0, 0.0, 10.0)], [Point3(70, 0, 1.5)],
+         "irs_positions entry must be a Point3, got (50.0, 0.0, 10.0)"),
+        ([Point3(50, 0, 10)], [Point3(70, 0, 1.5), "rx"],
+         "rx_positions entry must be a Point3, got 'rx'"),
+    ], ids=["irs", "rx"])
+    def test_positions_must_be_points(self, irs, rx, message):
+        with pytest.raises(InvalidInputError) as caught:
+            compare_placement(irs_scenario(), irs, rx, self.spec)
+        assert str(caught.value) == message
+
+    def test_interferer_positions_must_be_points(self):
+        scenario = dataclasses.replace(irs_scenario(), interference=InterfererSet.modeled(
+            [(make_channel(), (120.0, 0.0, 10.0))]))
+        with pytest.raises(InvalidInputError) as caught:
+            compare_placement(scenario, [Point3(50, 0, 10)], [Point3(70, 0, 1.5)], self.spec)
+        assert str(caught.value) == "interferer position must be a Point3, got (120.0, 0.0, 10.0)"
 
     def test_requires_irs_scenario(self):
         with pytest.raises(InvalidInputError):
