@@ -29,6 +29,17 @@ class InterfererSet:
         if not (0 <= _real("constant interference", self.constant_power) < math.inf):
             raise InvalidInputError(
                 f"constant interference must be finite and >= 0 W, got {self.constant_power!r}")
+        for j, entry in enumerate(self.interferers):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise InvalidInputError(
+                    f"interferer {j} must be a (ChannelParams, Point3) pair, got {entry!r}")
+            params, position = entry
+            if not isinstance(params, ChannelParams):
+                raise InvalidInputError(
+                    f"interferer {j} parameters must be a ChannelParams, got {params!r}")
+            if not isinstance(position, Point3):
+                raise InvalidInputError(
+                    f"interferer {j} position must be a Point3, got {position!r}")
 
     @classmethod
     def constant(cls, watts: float) -> "InterfererSet":

@@ -34,6 +34,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,8 +180,10 @@ class MonteCarloStats:
     seed: int
 
 
-@dataclass(frozen=True)
-class PlacementEntry:
+class PlacementEntry(NamedTuple):
+    """One candidate reflector position, with its SINR at each receiver and
+    the worst, mean and best of them."""
+
     irs_position: Point3
     per_rx_sinr_db: Tuple[float, ...]
     min_sinr_db: float
@@ -190,7 +193,7 @@ class PlacementEntry:
 
 @dataclass(frozen=True)
 class PlacementReport:
-    entries: Tuple[PlacementEntry, ...]  # sorted by min SINR, best first
+    entries: Tuple[PlacementEntry, ...]  # by min SINR, best first, ties in input order
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
@@ -213,7 +216,8 @@ def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
     if not all(isinstance(p, Point3) for p in points):
         bad = next(p for p in points if not isinstance(p, Point3))
         raise InvalidInputError(f"{name} must be a Point3, got {bad!r}")
-    return np.array([(p.x, p.y, p.z) for p in points], dtype=float)
+    coordinates = chain.from_iterable((p.x, p.y, p.z) for p in points)
+    return np.fromiter(coordinates, float, 3 * len(points)).reshape(-1, 3)
 
 
 def _link_powers(
@@ -245,8 +249,7 @@ def _link_powers(
     interferers = scenario.interference.interferers
     faults += [f"interferer {j} at {position} coincides with the receiver"
                for j, (_, position) in enumerate(interferers)]
-    reach = distance(_as_array([position for _, position in interferers], "interferer position")
-                     .reshape(-1, 1, 3), rx)
+    reach = distance(_as_array([position for _, position in interferers]).reshape(-1, 1, 3), rx)
     # one mask per fault, in the order a single pair is checked
     masks = [leg == 0.0 for leg in legs] + list(reach == 0.0)
     bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
@@ -517,15 +520,19 @@ def compare_placement(
         _as_array(rx_positions, "rx_positions entry"), spec.trials, spec.seed,
         where=lambda k, p: "placement ({}rx={})".format(
             "" if k is None else f"irs={irs_positions[k]}, ", rx_positions[p]))
-    sinr_db = stats.sinr_db
-    # adding the rows of the transpose in order is the sequential sum that
-    # sum(per_rx) makes, so the mean matches it bit for bit
-    means = np.add.reduce(np.ascontiguousarray(sinr_db.T), axis=0) / sinr_db.shape[1]
-    entries = sorted(
-        map(PlacementEntry, irs_positions, map(tuple, sinr_db.tolist()),
-            sinr_db.min(axis=1).tolist(), means.tolist(), sinr_db.max(axis=1).tolist()),
-        key=lambda e: e.min_sinr_db, reverse=True)
+    worst = stats.sinr_db.min(axis=1)
+    # best first; stable, so tied candidates keep their input order
+    order = np.argsort(-worst, kind="stable")
+    sinr_db = stats.sinr_db[order]
+    # the mean is the left-to-right sum of per_rx over its length, bit for
+    # bit: one add per receiver, over all candidates at once (np.add.reduce
+    # would sum a single candidate's contiguous row pairwise)
+    means = functools.reduce(np.add, sinr_db.T) / sinr_db.shape[1]
+    # tuple.__new__ makes each record in C, without a Python __new__ call
+    entries = tuple(map(tuple.__new__, repeat(PlacementEntry), zip(
+        map(irs_positions.__getitem__, order.tolist()), map(tuple, sinr_db.tolist()),
+        worst[order].tolist(), means.tolist(), sinr_db.max(axis=1).tolist())))
     return PlacementReport(
-        entries=tuple(entries),
+        entries=entries,
         metadata=_base_metadata(scenario, spec),
     )

@@ -98,7 +98,8 @@ def interferers_json() -> str:
     report = compare_placement(scenario, CANDIDATES, RECEIVERS, SPEC)
     stats = monte_carlo_stats(scenario, RECEIVERS[2], trials=1000, seed=7)
     return json.dumps({
-        "placement": [dataclasses.asdict(entry) for entry in report.entries],
+        "placement": [{**entry._asdict(), "irs_position": dataclasses.asdict(entry.irs_position)}
+                      for entry in report.entries],
         "monte_carlo": dataclasses.asdict(stats),
     }, indent=1) + "\n"
 

@@ -94,6 +94,22 @@ class TestAggregateInterference:
         with pytest.raises(InvalidInputError):
             InterfererSet(constant_power=-1e-12)
 
+    @pytest.mark.parametrize("entry,message", [
+        (("not params", Point3(120.0, 0.0, 10.0)),
+         "interferer 1 parameters must be a ChannelParams, got 'not params'"),
+        ((make_params(), (120.0, 0.0, 10.0)),
+         "interferer 1 position must be a Point3, got (120.0, 0.0, 10.0)"),
+        ((Point3(120.0, 0.0, 10.0),),
+         "interferer 1 must be a (ChannelParams, Point3) pair, got (Point3(x=120.0, y=0.0, z=10.0),)"),
+        ("ab", "interferer 1 must be a (ChannelParams, Point3) pair, got 'ab'"),
+    ], ids=["params", "position", "one-tuple", "string"])
+    def test_entries_must_be_params_position_pairs(self, entry, message):
+        entries = [(make_params(), Point3(0, 25, 0)), entry]
+        for build in (InterfererSet.modeled, lambda e: InterfererSet(interferers=tuple(e))):
+            with pytest.raises(InvalidInputError) as caught:
+                build(entries)
+            assert str(caught.value) == message
+
     def test_negative_floor_with_interferers_rejected(self):
         modeled = InterfererSet.modeled([(make_params(), Point3(0, 25, 0))])
         with pytest.raises(InvalidInputError):

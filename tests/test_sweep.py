@@ -1,7 +1,9 @@
 """Sweep engine tests: grids, determinism, common random numbers, placement."""
 
 import dataclasses
+import functools
 import math
+import operator
 import sys
 import threading
 import tracemalloc
@@ -573,6 +575,22 @@ class TestComparePlacement:
         assert a.mean_sinr_db == pytest.approx(b.mean_sinr_db, rel=1e-12)
         assert a.max_sinr_db == pytest.approx(b.max_sinr_db, rel=1e-12)
 
+    @pytest.mark.parametrize("tied", [
+        (Point3(30, 0, 10), Point3(70, 0, 10)),  # mirror images about the transmitter
+        (Point3(30, 0, 10), Point3(30, 0, 10)),  # one position given twice
+    ], ids=["mirror", "duplicate"])
+    def test_exact_ties_keep_input_order(self, tied):
+        scenario = dataclasses.replace(irs_scenario(), tx=Point3(50, 0, 10))
+        rx_positions = [Point3(40, 0, 1.5), Point3(60, 0, 1.5)]
+        near, far = Point3(45, 0, 10), Point3(95, 0, 10)
+        for first, second in (tied, tied[::-1]):
+            report = compare_placement(
+                scenario, [far, first, near, second], rx_positions, self.spec)
+            positions = [entry.irs_position for entry in report.entries]
+            assert positions[0] is near and positions[3] is far
+            assert positions[1] is first and positions[2] is second
+            assert report.entries[1].min_sinr_db == report.entries[2].min_sinr_db
+
     def test_single_rx_best_is_min_leg_product(self):
         scenario = irs_scenario()
         rx = Point3(80, 0, 1.5)
@@ -625,18 +643,16 @@ class TestComparePlacement:
         assert str(caught.value) == message
 
     def test_interferer_positions_must_be_points(self):
-        scenario = dataclasses.replace(irs_scenario(), interference=InterfererSet.modeled(
-            [(make_channel(), (120.0, 0.0, 10.0))]))
         with pytest.raises(InvalidInputError) as caught:
-            compare_placement(scenario, [Point3(50, 0, 10)], [Point3(70, 0, 1.5)], self.spec)
-        assert str(caught.value) == "interferer position must be a Point3, got (120.0, 0.0, 10.0)"
+            InterfererSet.modeled([(make_channel(), (120.0, 0.0, 10.0))])
+        assert str(caught.value) == "interferer 0 position must be a Point3, got (120.0, 0.0, 10.0)"
 
     def test_requires_irs_scenario(self):
         with pytest.raises(InvalidInputError):
             compare_placement(
                 conventional_scenario(), [Point3(1, 0, 0)], [Point3(2, 0, 0)], self.spec)
 
-    @pytest.mark.parametrize("candidates,receivers", [(60, 37), (5, 1)])
+    @pytest.mark.parametrize("candidates,receivers", [(60, 37), (5, 1), (1, 37), (1, 1)])
     def test_summaries_match_python_reductions(self, candidates, receivers):
         rng = np.random.default_rng(candidates)
         irs_positions = [Point3(float(x), float(y), 10.0)
@@ -644,19 +660,24 @@ class TestComparePlacement:
         rx_positions = [Point3(float(x), float(y), 1.5)
                         for x, y in rng.uniform(-100.0, 100.0, (receivers, 2))]
         scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
-        report = compare_placement(scenario, irs_positions, rx_positions,
-                                   dataclasses.replace(self.spec, trials=8, seed=5))
+        spec = dataclasses.replace(self.spec, trials=8, seed=5)
+        report = compare_placement(scenario, irs_positions, rx_positions, spec)
         for entry in report.entries:
             per_rx = entry.per_rx_sinr_db
             assert len(per_rx) == receivers
             assert entry.min_sinr_db == min(per_rx)
             assert entry.max_sinr_db == max(per_rx)
-            assert entry.mean_sinr_db == sum(per_rx) / len(per_rx)
-        # best first, ties in input order
-        by_position = {entry.irs_position: entry for entry in report.entries}
-        in_input_order = [by_position[p] for p in irs_positions]
-        assert list(report.entries) == sorted(
-            in_input_order, key=lambda e: e.min_sinr_db, reverse=True)
+            # a left fold: sum() of floats is compensated since Python 3.12
+            assert entry.mean_sinr_db == functools.reduce(operator.add, per_rx) / len(per_rx)
+        # best first, ties in input order: Python's stable sort of one record
+        # per candidate, each scored on its own against the same draws
+        records = [compare_placement(scenario, [p], rx_positions, spec).entries[0]
+                   for p in irs_positions]
+        expected = sorted(records, key=lambda e: e.min_sinr_db, reverse=True)
+        assert report.entries == tuple(expected)
+        # the caller's own Point3 objects, not copies
+        assert all(entry.irs_position is record.irs_position
+                   for entry, record in zip(report.entries, expected))
 
     def test_memory_does_not_scale_with_candidates_times_trials(self):
         scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
@@ -685,6 +706,32 @@ class TestComparePlacement:
         with pytest.raises(InvalidInputError,
                            match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
             compare_placement(scenario, [scenario.irs], rx_positions, self.spec)
+
+
+class TestAsArray:
+    COORDINATES = [(0.1, -2.5, 3.0), (1e10, 0.0, -17.25), (123456789.0, 5.0, 6.0)]
+
+    @pytest.mark.parametrize("kind", [int, float, np.int64, np.float32])
+    def test_same_bytes_as_an_array_of_tuples(self, kind):
+        points = [Point3(*map(kind, xyz)) for xyz in self.COORDINATES]
+        expected = np.array([(p.x, p.y, p.z) for p in points], dtype=float)
+        coordinates = sweep_module._as_array(points)
+        assert coordinates.shape == (3, 3) and coordinates.dtype == np.float64
+        assert coordinates.tobytes() == expected.tobytes()
+
+    def test_no_points_give_shape_0_by_3(self):
+        # the kernel's interferer distances rely on it when there are none
+        coordinates = sweep_module._as_array([])
+        assert coordinates.shape == (0, 3) and coordinates.dtype == np.float64
+
+    @pytest.mark.parametrize("name,message", [
+        ((), "position must be a Point3, got (1.0, 2.0, 3.0)"),
+        (("rx_positions entry",), "rx_positions entry must be a Point3, got (1.0, 2.0, 3.0)"),
+    ], ids=["default", "named"])
+    def test_other_values_rejected_by_name(self, name, message):
+        with pytest.raises(InvalidInputError) as caught:
+            sweep_module._as_array([Point3(0, 0, 0), (1.0, 2.0, 3.0)], *name)
+        assert str(caught.value) == message
 
 
 def overflowing_mean_power_sweep():
