@@ -11,10 +11,8 @@ from irssim.channel import (
     conventional_rx_power,
     dbm_to_watts,
     irs_rx_power,
-    irs_scattering_gain,
     sample_fading_block,
     watts_to_dbm,
-    wavelength,
 )
 from irssim.sinr import InterfererSet, thermal_noise_watts
 from irssim.sweep import (
@@ -34,7 +32,7 @@ from irssim.presets import PRESET_NAMES, build_preset
 from irssim.config import parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

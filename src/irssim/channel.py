@@ -1,4 +1,4 @@
-"""Received-power models, fading draws, wavelength, and power-unit conversions.
+"""Received-power models, fading draws, and power-unit conversions.
 
 Two downlink models are provided: the direct small-cell link and the
 cascaded link through a passive reflecting panel. Everything here computes
@@ -94,7 +94,8 @@ class ChannelParams:
 
     @property
     def wavelength(self) -> float:
-        return wavelength(self.carrier_frequency)
+        """Wavelength c/f in meters."""
+        return SPEED_OF_LIGHT / self.carrier_frequency
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,6 @@ class FadingModel:
     @property
     def is_random(self) -> bool:
         return self.mode is FadingMode.RAYLEIGH_EXPONENTIAL
-
-
-def wavelength(frequency: float) -> float:
-    """Wavelength c/f in meters."""
-    if not (frequency > 0):
-        raise InvalidInputError(f"frequency must be > 0, got {frequency!r}")
-    return SPEED_OF_LIGHT / frequency
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -282,13 +276,6 @@ def conventional_rx_power(
             / (r ** params.path_loss_exponent * 16.0 * math.pi ** 2))
 
 
-def irs_scattering_gain(panel: IrsPanel, lam: float) -> float:
-    """Aperture gain 4*pi*l_x*w_y / lambda^2 of one reflecting element."""
-    if not (lam > 0):
-        raise InvalidInputError(f"wavelength must be > 0, got {lam!r}")
-    return 4.0 * math.pi * panel.element_length * panel.element_width / (lam * lam)
-
-
 def irs_rx_power(
     params: ChannelParams,
     panel: IrsPanel,
@@ -298,16 +285,16 @@ def irs_rx_power(
     """Cascaded received power in watts through the reflecting panel.
 
     l_x*w_y*m^2*n^2*lambda^2*G_T*G_R*G*cos(theta_t)*cos(theta_r)*A^2
-    / (64*pi^3*(r1*r2)^2) * P_t, with G the element aperture gain; the
-    wavelength cancels once G is substituted. Leg lengths r1 (tx to panel)
-    and r2 (panel to rx) may be arrays; they broadcast elementwise and give
-    an array of powers.
+    / (64*pi^3*(r1*r2)^2) * P_t, with G = 4*pi*l_x*w_y/lambda^2 the element
+    aperture gain; the wavelength cancels once G is substituted. Leg lengths
+    r1 (tx to panel) and r2 (panel to rx) may be arrays; they broadcast
+    elementwise and give an array of powers.
     """
     if not (_all_positive(r1) and _all_positive(r2)):
         raise DegenerateGeometryError(
             f"cascade legs must be > 0, got r1={r1!r}, r2={r2!r}")
     lam = params.wavelength
-    g = irs_scattering_gain(panel, lam)
+    g = 4.0 * math.pi * panel.element_length * panel.element_width / (lam * lam)
     m = panel.tx_side_elements
     n = panel.rx_side_elements
     numerator = (panel.element_length * panel.element_width

@@ -10,7 +10,7 @@ from typing import List, Optional
 
 from irssim.channel import ConventionalModel, FadingMode, FadingModel
 from irssim.config import parse_scenario
-from irssim.errors import SimulatorError
+from irssim.errors import ConfigError, SimulatorError
 from irssim.output import emit_results
 from irssim.presets import PRESET_DESCRIPTIONS, PRESET_NAMES, build_preset
 from irssim.sweep import run_distance_sweep
@@ -63,11 +63,21 @@ def _apply_overrides(scenario, spec, args):
     return scenario, spec
 
 
+def _parse_config(path: Path):
+    """The scenario and sweep of a config file: UTF-8 text, a leading BOM ignored."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_scenario(text)
+
+
 def _cmd_sweep(args) -> int:
     if args.preset is not None:
         scenario, spec = build_preset(args.preset)
     else:
-        scenario, spec = parse_scenario(args.config.read_text(encoding="utf-8"))
+        scenario, spec = _parse_config(args.config)
     scenario, spec = _apply_overrides(scenario, spec, args)
     result = run_distance_sweep(scenario, spec)
     emit_results([result], args.format, args.out if args.out else sys.stdout)
@@ -81,7 +91,7 @@ def _cmd_presets() -> int:
 
 
 def _cmd_validate(args) -> int:
-    parse_scenario(args.config.read_text(encoding="utf-8"))
+    _parse_config(args.config)
     print(f"{args.config}: OK")
     return 0
 

@@ -12,6 +12,7 @@ not an interpolation marker.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import astuple
 from typing import Callable, Dict, NamedTuple, Tuple
 
@@ -104,7 +105,9 @@ def _read(text: str) -> _Document:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from None
+        # configparser spreads its message over lines; keep it on one
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed configuration: {message}") from None
     if parser.defaults():
         raise ConfigError("section [DEFAULT] is not supported; set each key in its own section")
     document = _Document()
@@ -137,7 +140,10 @@ def _channel(channel: _Section) -> Tuple[ChannelParams, InterfererSet]:
             noise_power=(dbm_to_watts(channel["noise_dbm"]) if "noise_dbm" in channel
                          else thermal_noise_watts(channel["noise_bandwidth_hz"])),
         )
-        interference = InterfererSet.constant(dbm_to_watts(channel["interference_dbm"]))
+        interference_dbm = channel["interference_dbm"]
+        if not math.isfinite(interference_dbm):  # -inf dBm would run as 0 W
+            raise InvalidInputError(f"interference_dbm must be finite, got {interference_dbm!r}")
+        interference = InterfererSet.constant(dbm_to_watts(interference_dbm))
     except InvalidInputError as exc:
         raise ConfigError(f"channel: {exc}") from None
     return params, interference

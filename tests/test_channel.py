@@ -1,6 +1,7 @@
 """Channel model tests: wavelength, unit conversion, fading, both power models."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from irssim import (
     dbm_to_watts,
     distance,
     irs_rx_power,
-    irs_scattering_gain,
     sample_fading_block,
     watts_to_dbm,
-    wavelength,
 )
 from irssim.channel import _HASH_BLOCK as BLOCK
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
@@ -55,19 +54,20 @@ def make_panel(**overrides):
 
 class TestWavelength:
     def test_one_meter(self):
-        assert wavelength(SPEED_OF_LIGHT) == 1.0
+        assert make_params(frequency=SPEED_OF_LIGHT).wavelength == 1.0
 
     def test_decade_scaling(self):
-        assert wavelength(2.99792458e9) == pytest.approx(0.1, rel=1e-15)
+        assert make_params(frequency=2.99792458e9).wavelength == pytest.approx(0.1, rel=1e-15)
 
     def test_28_ghz(self):
-        assert wavelength(28e9) == pytest.approx(0.0107068735, rel=1e-9)
+        assert make_params(frequency=28e9).wavelength == pytest.approx(0.0107068735, rel=1e-9)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            wavelength(0.0)
-        with pytest.raises(InvalidInputError):
-            wavelength(-1e9)
+        # ChannelParams rejects such a frequency, so no wavelength is ever <= 0
+        for frequency in (0.0, -1e9):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    f"carrier_frequency must be finite and > 0, got {frequency!r}")):
+                make_params(frequency=frequency)
 
 
 class TestPowerConversion:
@@ -235,6 +235,10 @@ class TestConventionalRxPower:
         with pytest.raises(DegenerateGeometryError):
             conventional_rx_power(make_params(), 0.0)
 
+    def test_rejects_zero_fading_gain(self):
+        with pytest.raises(InvalidInputError, match="fading gain must be > 0, got 0.0"):
+            conventional_rx_power(make_params(), 10.0, 0.0)
+
     @given(st.floats(min_value=0.1, max_value=1e4),
            st.floats(min_value=0.0, max_value=6.0))
     def test_exponent_law(self, r, alpha):
@@ -276,27 +280,6 @@ class TestConventionalRxPower:
         assert abs(mean_power / deterministic - 1.0) < 0.01
 
 
-class TestScatteringGain:
-    def test_hand_inverted_unity(self):
-        panel = make_panel(element_length=1.0 / (4.0 * math.pi), element_width=1.0)
-        assert irs_scattering_gain(panel, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_bilinear_in_element_area(self):
-        small = make_panel()
-        big = make_panel(element_length=0.01, element_width=0.01)
-        assert irs_scattering_gain(big, 0.01) == pytest.approx(
-            4.0 * irs_scattering_gain(small, 0.01), rel=1e-15)
-
-    def test_inverse_square_in_wavelength(self):
-        panel = make_panel()
-        assert irs_scattering_gain(panel, 0.005) == pytest.approx(
-            4.0 * irs_scattering_gain(panel, 0.01), rel=1e-15)
-
-    def test_rejects_nonpositive_wavelength(self):
-        with pytest.raises(InvalidInputError):
-            irs_scattering_gain(make_panel(), 0.0)
-
-
 def unit_cascade(r1=1.0, r2=1.0):
     tx, irs, rx = Point3(0, 0, 0), Point3(r1, 0, 0), Point3(r1 + r2, 0, 0)
     return distance(tx, irs), distance(irs, rx)
@@ -304,7 +287,8 @@ def unit_cascade(r1=1.0, r2=1.0):
 
 class TestIrsRxPower:
     def test_hand_evaluated_reference(self):
-        # element area 1/(4 pi), unit gains, zero angles, A=1, r1=r2=1 -> 1/(256 pi^4)
+        # element area 1/(4 pi) at lambda = 1 m (element gain G = 1), unit gains,
+        # zero angles, A=1, r1=r2=1 -> 1/(256 pi^4)
         panel = make_panel(element_length=1.0 / (4.0 * math.pi), element_width=1.0,
                            tx_side_elements=1, rx_side_elements=1,
                            reflection_coefficient=1.0, tx_gain=1.0, rx_gain=1.0,
@@ -313,6 +297,19 @@ class TestIrsRxPower:
         value = irs_rx_power(params, panel, *unit_cascade())
         assert value == pytest.approx(1.0 / (256.0 * math.pi**4), rel=1e-12)
         assert value == pytest.approx(4.010149e-5, rel=1e-6)
+
+    def test_element_area_squared(self):
+        # the area l_x*w_y enters once directly and once through the element gain
+        params = make_params(frequency=28e9)
+        legs = unit_cascade(3.0, 7.0)
+        small = irs_rx_power(params, make_panel(), *legs)
+        big = irs_rx_power(params, make_panel(element_length=0.01, element_width=0.01), *legs)
+        assert big == pytest.approx(16.0 * small, rel=1e-15)
+
+    def test_zero_leg_rejected(self):
+        with pytest.raises(DegenerateGeometryError,
+                           match=re.escape("cascade legs must be > 0, got r1=0.0, r2=1.0")):
+            irs_rx_power(make_params(), make_panel(), 0.0, 1.0)
 
     def test_cosine_product_at_60_degrees(self):
         base = make_panel(theta_t=0.0, theta_r=0.0)

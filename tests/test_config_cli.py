@@ -17,6 +17,7 @@ from irssim import (
     ConfigError,
     FadingModel,
     InterfererSet,
+    InvalidInputError,
     IrsPanel,
     PRESET_NAMES,
     Point3,
@@ -165,6 +166,27 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match=name):
             parse_scenario(IRS_CONFIG.replace(old, new))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("[sweep]\nstart = 5\nstop = 100\nsteps = 20\ntrials = 10\nseed = 42\n", "",
+         "missing required section [sweep]"),
+        ("tx = 0 0 10", "tx = 0 0", "geometry.tx must be three finite numbers 'x y z', got '0 0'"),
+        # Scenario's own message, passed on by parse_scenario
+        ("irs = 50 0 10", "irs = 50 0 10\nrx_direction = 0 0 0",
+         "rx_direction must be nonzero with a finite norm, got (0.0, 0.0, 0.0)"),
+        ("steps = 20", "steps 20",
+         "malformed configuration: Source contains parsing errors: '<string>' [line 31]: "
+         "'steps 20\\n'"),
+        ("[channel]\n", "frequency_hz = 28e9\n[channel]\n",
+         "malformed configuration: File contains no section headers. file: '<string>', "
+         "line: 1 'frequency_hz = 28e9\\n'"),
+    ], ids=["no_sweep_section", "two_coordinates", "zero_rx_direction", "no_equals_sign",
+            "no_section_header"])
+    def test_diagnostic(self, old, new, message):
+        assert IRS_CONFIG.count(old) == 1
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(IRS_CONFIG.replace(old, new))
+        assert str(caught.value) == message
+
     def test_panel_in_conventional_mode_rejected(self):
         bad = CONVENTIONAL_CONFIG + "\n[panel]\nelement_length_m = 0.005\n"
         with pytest.raises(ConfigError, match=r"\[panel\]"):
@@ -198,6 +220,8 @@ class TestParseScenario:
         ("tx_power_dbm = 30", "tx_power_dbm = 4000", "tx_power"),
         ("noise_dbm = -94", "noise_dbm = inf", "noise_power"),
         ("interference_dbm = -100", "interference_dbm = 4000", "constant interference"),
+        # -inf dBm is 0 W, which the Python API accepts as no interference floor
+        ("interference_dbm = -100", "interference_dbm = -inf", "interference_dbm"),
         ("tx_gain_dbi = 10", "tx_gain_dbi = 4000", "tx_gain"),
         ("stop = 100", "stop = inf", "stop"),
     ])
@@ -375,6 +399,12 @@ class TestPresets:
         scenario, _ = build_preset("fig1")
         assert any("cell radius" in note for note in scenario.assumptions)
 
+    def test_unknown_preset_named(self):
+        with pytest.raises(InvalidInputError) as caught:
+            build_preset("fig3")
+        assert str(caught.value) == (
+            "unknown preset 'fig3'; available: fig1, fig2a, fig2b, fig2c, fig2d")
+
 
 def run_preset(name, **spec_overrides):
     import dataclasses
@@ -413,10 +443,13 @@ class TestEmitResults:
                            expected.sinr_db, expected.sinr_db_stddev]
 
     def test_empty_results_rejected(self):
-        from irssim.errors import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             render_results([], "csv")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidInputError) as caught:
+            render_results([run_preset("fig1", steps=2)], "xml")
+        assert str(caught.value) == "format must be 'csv' or 'json', got 'xml'"
 
 
 class TestCli:
@@ -452,6 +485,28 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err == "error: sweep.steps must be a int, got 'inf'\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, command):
+        config = tmp_path / "bom.ini"
+        config.write_bytes(b"\xef\xbb\xbf" + CONVENTIONAL_CONFIG.encode("utf-8"))
+        args = ["sweep", "--config", str(config)] if command == "sweep" else [command, str(config)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "sweep":
+            assert captured.out.splitlines()[0] == CSV_HEADER
+            assert len(captured.out.splitlines()) == 21
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_config_that_is_not_utf8_is_a_diagnostic(self, tmp_path, capsys, command):
+        config = tmp_path / "utf16.ini"
+        config.write_bytes(b"\xff\xfe" + CONVENTIONAL_CONFIG.encode("utf-16-le"))
+        args = ["sweep", "--config", str(config)] if command == "sweep" else [command, str(config)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config} is not UTF-8 text: invalid start byte at byte 0\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_percent_label_reaches_output(self, tmp_path, fmt):

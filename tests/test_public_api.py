@@ -16,9 +16,8 @@ PUBLIC_NAMES = {
     "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepRow", "SweepSpec",
     "build_preset", "compare_placement",
     "conventional_rx_power", "dbm_to_watts", "distance", "emit_results", "irs_rx_power",
-    "irs_scattering_gain", "monte_carlo_stats", "parse_scenario", "run_angle_sweep",
+    "monte_carlo_stats", "parse_scenario", "run_angle_sweep",
     "run_distance_sweep", "sample_fading_block", "thermal_noise_watts", "watts_to_dbm",
-    "wavelength",
 }
 
 # public classes and functions defined in each model module
@@ -26,8 +25,8 @@ DEFINED = {
     irssim.geometry: {"Point3", "distance"},
     irssim.channel: {
         "FadingMode", "ConventionalModel", "ChannelParams", "IrsPanel", "FadingModel",
-        "wavelength", "watts_to_dbm", "dbm_to_watts", "ratio_from_db", "sample_fading_block",
-        "conventional_rx_power", "irs_scattering_gain", "irs_rx_power"},
+        "watts_to_dbm", "dbm_to_watts", "ratio_from_db", "sample_fading_block",
+        "conventional_rx_power", "irs_rx_power"},
     irssim.sinr: {"InterfererSet", "thermal_noise_watts"},
 }
 

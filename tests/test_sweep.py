@@ -647,6 +647,13 @@ class TestComparePlacement:
             InterfererSet.modeled([(make_channel(), (120.0, 0.0, 10.0))])
         assert str(caught.value) == "interferer 0 position must be a Point3, got (120.0, 0.0, 10.0)"
 
+    @pytest.mark.parametrize("irs,rx", [([], [Point3(70, 0, 1.5)]), ([Point3(50, 0, 10)], [])],
+                             ids=["no_candidates", "no_receivers"])
+    def test_needs_a_candidate_and_a_receiver(self, irs, rx):
+        with pytest.raises(InvalidInputError) as caught:
+            compare_placement(irs_scenario(), irs, rx, self.spec)
+        assert str(caught.value) == "placement comparison needs >= 1 IRS and >= 1 rx position"
+
     def test_requires_irs_scenario(self):
         with pytest.raises(InvalidInputError):
             compare_placement(
