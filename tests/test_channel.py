@@ -285,6 +285,30 @@ def unit_cascade(r1=1.0, r2=1.0):
     return distance(tx, irs), distance(irs, rx)
 
 
+def element_gain(params, panel):
+    """Element aperture gain G, solved from irs_rx_power over unit legs."""
+    lam = params.wavelength
+    rest = (panel.element_length * panel.element_width
+            * panel.tx_side_elements ** 2 * panel.rx_side_elements ** 2
+            * lam * lam * panel.tx_gain * panel.rx_gain
+            * math.cos(math.radians(panel.theta_t)) * math.cos(math.radians(panel.theta_r))
+            * panel.reflection_coefficient ** 2 * params.tx_power
+            / (64.0 * math.pi ** 3))
+    return irs_rx_power(params, panel, *unit_cascade()) / rest
+
+
+class TestScatteringGain:
+    def test_hand_inverted_unity(self):
+        panel = make_panel(element_length=1.0 / (4.0 * math.pi), element_width=1.0)
+        assert element_gain(make_params(), panel) == pytest.approx(1.0, rel=1e-15)
+
+    def test_inverse_square_in_wavelength(self):
+        panel = make_panel()
+        short = element_gain(make_params(frequency=SPEED_OF_LIGHT / 0.005), panel)
+        long = element_gain(make_params(frequency=SPEED_OF_LIGHT / 0.01), panel)
+        assert short == pytest.approx(4.0 * long, rel=1e-15)
+
+
 class TestIrsRxPower:
     def test_hand_evaluated_reference(self):
         # element area 1/(4 pi) at lambda = 1 m (element gain G = 1), unit gains,
