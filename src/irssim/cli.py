@@ -70,7 +70,7 @@ def _parse_config(path: Path):
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse_scenario(text)
+    return parse_scenario(text, source=str(path))
 
 
 def _cmd_sweep(args) -> int:

@@ -99,11 +99,11 @@ class _Document(dict):
         raise ConfigError(f"missing required section [{name}]")
 
 
-def _read(text: str) -> _Document:
+def _read(text: str, source: str) -> _Document:
     """Every value of the document, parsed to its kind; unknown names are rejected."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
         # configparser spreads its message over lines; keep it on one
         message = " ".join(line.strip() for line in str(exc).splitlines())
@@ -182,9 +182,12 @@ def _check_link_mode(document: _Document) -> None:
             f"link {mode!r}; geometry.mode is optional, so drop it or make it agree")
 
 
-def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
-    """Parse and validate a configuration document into a runnable scenario."""
-    document = _read(text)
+def parse_scenario(text: str, *, source: str = "<string>") -> Tuple[Scenario, SweepSpec]:
+    """Parse and validate a configuration document into a runnable scenario.
+
+    ``source`` names the document, such as its file path, in syntax diagnostics.
+    """
+    document = _read(text, source)
     channel, geometry, sweep = document["channel"], document["geometry"], document["sweep"]
     params, interference = _channel(channel)
     _check_link_mode(document)
@@ -211,5 +214,6 @@ def parse_scenario(text: str) -> Tuple[Scenario, SweepSpec]:
             **geometry.optional(label="label", rx_direction="rx_direction"),
         )
     except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from None
+        # rx_direction is the one value Scenario checks beyond what _read parsed
+        raise ConfigError(f"geometry.{exc}") from None
     return scenario, spec

@@ -1,7 +1,9 @@
 """Result emission as plot-ready CSV or JSON.
 
 Both formats are pinned byte for byte, and both are rendered with one ``%``
-template per result instead of per-row Python work:
+template per result instead of per-row Python work. Each document is then
+assembled from its pieces by one ``str.join``, so the finished text is built
+once and not copied again, and :func:`emit_results` writes it in one call:
 
 * JSON is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the list of
   ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` renders
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Sequence, Tuple, Union
 
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
@@ -58,27 +60,33 @@ def _json_rows(result: SweepResult) -> str:
     if not result.rows:
         return "[]"
     tokens = json.dumps(tuple(chain.from_iterable(result.rows)), separators=("\n", ":"))
-    template = ",\n".join([_JSON_ROW] * len(result.rows))
-    return "[\n" + template % tuple(tokens[1:-1].split("\n")) + "\n    ]"
+    template = "[\n" + ",\n".join([_JSON_ROW] * len(result.rows)) + "\n    ]"
+    return template % tuple(tokens[1:-1].split("\n"))
 
 
-def _json_result(result: SweepResult) -> str:
+def _json_result(result: SweepResult) -> Tuple[str, ...]:
+    """The pieces that, joined, are the result's object at nesting level 1."""
     header = {
         "label": result.scenario_label,
         "variable": result.variable_name,
         "metadata": result.metadata,
     }
-    return _in_list(header)[:-len("\n  }")] + ',\n    "rows": ' + _json_rows(result) + "\n  }"
+    return _in_list(header)[:-len("\n  }")], ',\n    "rows": ', _json_rows(result), "\n  }"
 
 
 def render_results(results: Sequence[SweepResult], fmt: str) -> str:
     if not results:
         raise InvalidInputError("no results to emit")
     if fmt == "csv":
-        parts = [CSV_HEADER] + [_csv_rows(result) for result in results if result.rows]
-        return "\n".join(parts) + "\n"
+        blocks = [_csv_rows(result) for result in results if result.rows]
+        return "\n".join([CSV_HEADER, *blocks, ""])
     if fmt == "json":
-        return "[\n  " + ",\n  ".join(map(_json_result, results)) + "\n]\n"
+        pieces = []
+        for result in results:
+            pieces += (",\n  ", *_json_result(result))
+        pieces[0] = "[\n  "  # the first result opens the list instead of following a comma
+        pieces.append("\n]\n")
+        return "".join(pieces)
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 

@@ -438,12 +438,13 @@ def _sweeps(
     stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
                       spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}",
                       panels=panels)
+    # tuple.__new__ makes each row in C, as compare_placement makes its entries
     return [
         SweepResult(
             scenario_label=label,
             variable_name="distance_m",
-            rows=tuple(map(SweepRow, grid, map(watts_to_dbm, power.tolist()),
-                           sinr_db.tolist(), stddev.tolist())),
+            rows=tuple(map(tuple.__new__, repeat(SweepRow), zip(
+                grid, map(watts_to_dbm, power.tolist()), sinr_db.tolist(), stddev.tolist()))),
             metadata=_base_metadata(scenario, spec),
         )
         for label, power, sinr_db, stddev in zip(

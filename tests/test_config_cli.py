@@ -170,9 +170,9 @@ class TestParseScenario:
         ("[sweep]\nstart = 5\nstop = 100\nsteps = 20\ntrials = 10\nseed = 42\n", "",
          "missing required section [sweep]"),
         ("tx = 0 0 10", "tx = 0 0", "geometry.tx must be three finite numbers 'x y z', got '0 0'"),
-        # Scenario's own message, passed on by parse_scenario
+        # Scenario's own message, prefixed with the section by parse_scenario
         ("irs = 50 0 10", "irs = 50 0 10\nrx_direction = 0 0 0",
-         "rx_direction must be nonzero with a finite norm, got (0.0, 0.0, 0.0)"),
+         "geometry.rx_direction must be nonzero with a finite norm, got (0.0, 0.0, 0.0)"),
         ("steps = 20", "steps 20",
          "malformed configuration: Source contains parsing errors: '<string>' [line 31]: "
          "'steps 20\\n'"),
@@ -507,6 +507,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {config} is not UTF-8 text: invalid start byte at byte 0\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_malformed_config_diagnostic_names_the_file(self, tmp_path, capsys, command):
+        config = tmp_path / "bad.ini"
+        config.write_text("[channel]\nfoo\n")
+        args = ["sweep", "--config", str(config)] if command == "sweep" else [command, str(config)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed configuration: Source contains parsing errors: "
+                                f"{str(config)!r} [line  2]: 'foo\\n'\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_percent_label_reaches_output(self, tmp_path, fmt):

@@ -8,15 +8,18 @@ metadata text.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irssim import SweepResult, SweepRow
+from irssim import SweepResult, SweepRow, build_preset, run_distance_sweep
 from irssim.output import CSV_HEADER, render_results
+from irssim.presets import PRESET_NAMES
 
 CSV_SPECIAL = ',"\r\n'
 
@@ -143,3 +146,21 @@ def test_sweep_row_is_a_named_tuple():
     assert row == SweepRow(1.0, -40.0, 20.0, 0.5)
     with pytest.raises(AttributeError):
         row.x = 2.0
+
+
+@pytest.fixture(scope="module")
+def dense_preset_sweeps():
+    return [run_distance_sweep(scenario, dataclasses.replace(spec, steps=1600))
+            for scenario, spec in map(build_preset, PRESET_NAMES)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_document_is_not_copied_once_rendered(dense_preset_sweeps, fmt):
+    """The peak is the document's pieces and their one join, not a further copy."""
+    tracemalloc.start()
+    try:
+        text = render_results(dense_preset_sweeps, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(text)

@@ -20,6 +20,7 @@ from irssim import (
     IrsPanel,
     Point3,
     Scenario,
+    SweepRow,
     SweepSpec,
     build_preset,
     compare_placement,
@@ -200,6 +201,25 @@ class TestDistanceSweep:
         result = run_distance_sweep(conventional_scenario(), spec)
         xs = [row.x for row in result.rows]
         assert xs == spec.grid()
+
+    @pytest.mark.parametrize("sweep", [
+        lambda spec: [run_distance_sweep(irs_scenario(), spec)],
+        lambda spec: [run_distance_sweep(conventional_scenario(), spec)],
+        lambda spec: run_angle_sweep(
+            irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=3)),
+            [(45, 45), (60, 45)], spec),
+    ], ids=["irs", "conventional", "angle"])
+    def test_rows_are_sweep_rows(self, sweep):
+        results = sweep(SweepSpec(start=5.0, stop=100.0, steps=20, trials=10, seed=3))
+        for result in results:
+            assert len(result.rows) == 20
+            for row in result.rows:
+                assert type(row) is SweepRow
+                assert len(row) == 4
+                assert row.x == row[0]
+                assert row.rx_power_dbm == row[1]
+                assert row.sinr_db == row[2]
+                assert row.sinr_db_stddev == row[3]
 
     def test_deterministic_trials_equivalent(self):
         scenario = conventional_scenario()
