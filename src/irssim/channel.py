@@ -12,16 +12,15 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from irssim.errors import DegenerateGeometryError, InvalidInputError
 
-if TYPE_CHECKING:  # geometry imports the real-number rule from this module
-    from irssim.geometry import Length
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
+
+Length = Union[float, np.ndarray]
 
 
 class FadingMode(enum.Enum):

@@ -143,7 +143,7 @@ def _channel(channel: _Section) -> Tuple[ChannelParams, InterfererSet]:
         interference_dbm = channel["interference_dbm"]
         if not math.isfinite(interference_dbm):  # -inf dBm would run as 0 W
             raise InvalidInputError(f"interference_dbm must be finite, got {interference_dbm!r}")
-        interference = InterfererSet.constant(dbm_to_watts(interference_dbm))
+        interference = InterfererSet(constant_power=dbm_to_watts(interference_dbm))
     except InvalidInputError as exc:
         raise ConfigError(f"channel: {exc}") from None
     return params, interference

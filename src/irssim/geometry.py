@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from irssim.channel import _real
+from irssim.channel import Length, _real
 from irssim.errors import InvalidInputError
 
 
@@ -33,7 +33,6 @@ class Point3:
 
 
 Points = Union[Point3, np.ndarray]
-Length = Union[float, np.ndarray]
 
 
 def _coordinates(p: Points) -> np.ndarray:

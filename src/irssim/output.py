@@ -6,13 +6,15 @@ assembled from its pieces by one ``str.join``, so the finished text is built
 once and not copied again, and :func:`emit_results` writes it in one call:
 
 * JSON is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the list of
-  ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` renders
-  each result's header (label, variable, metadata) as the single element of a
-  list, which puts it at the nesting level it has in the full document; the
-  ``rows`` array is spliced in after it. Row values must be JSON scalars
-  (numbers, booleans, ``None`` or strings): one compact ``json.dumps`` call
-  with a newline as item separator encodes them all, each token exactly as
-  ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
+  ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` writes
+  the whole payload with each ``rows`` array replaced by ``0``, and each rows
+  array is spliced in at the one place it can sit: ``"rows"`` is the last key
+  of its object, so ``"rows": 0`` is followed by a newline and the two-space
+  ``}`` that closes that object, a text no string token (which never holds a
+  raw newline) and no deeper object can contain. Row values must be JSON
+  scalars (numbers, booleans, ``None`` or strings): one compact ``json.dumps``
+  call with a newline as item separator encodes them all, each token exactly
+  as ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
   never occurs inside a token, so splitting on it recovers one token per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
   the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence, Tuple, Union
+from typing import IO, Sequence, Union
 
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
@@ -50,11 +52,6 @@ def _csv_rows(result: SweepResult) -> str:
     return "\n".join([row] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
 
 
-def _in_list(obj: object) -> str:
-    """``obj`` as json.dumps(indent=2) writes the element of a top-level list."""
-    return json.dumps([obj], indent=2)[len("[\n  "):-len("\n]")]
-
-
 def _json_rows(result: SweepResult) -> str:
     """The rows array at nesting level 2."""
     if not result.rows:
@@ -64,16 +61,6 @@ def _json_rows(result: SweepResult) -> str:
     return template % tuple(tokens[1:-1].split("\n"))
 
 
-def _json_result(result: SweepResult) -> Tuple[str, ...]:
-    """The pieces that, joined, are the result's object at nesting level 1."""
-    header = {
-        "label": result.scenario_label,
-        "variable": result.variable_name,
-        "metadata": result.metadata,
-    }
-    return _in_list(header)[:-len("\n  }")], ',\n    "rows": ', _json_rows(result), "\n  }"
-
-
 def render_results(results: Sequence[SweepResult], fmt: str) -> str:
     if not results:
         raise InvalidInputError("no results to emit")
@@ -81,11 +68,13 @@ def render_results(results: Sequence[SweepResult], fmt: str) -> str:
         blocks = [_csv_rows(result) for result in results if result.rows]
         return "\n".join([CSV_HEADER, *blocks, ""])
     if fmt == "json":
-        pieces = []
-        for result in results:
-            pieces += (",\n  ", *_json_result(result))
-        pieces[0] = "[\n  "  # the first result opens the list instead of following a comma
-        pieces.append("\n]\n")
+        payload = [{"label": result.scenario_label, "variable": result.variable_name,
+                    "metadata": result.metadata, "rows": 0} for result in results]
+        heads = json.dumps(payload, indent=2).split('"rows": 0\n  }')
+        pieces = [heads[0]]
+        for result, head in zip(results, heads[1:]):
+            pieces += ('"rows": ', _json_rows(result), "\n  }", head)
+        pieces.append("\n")
         return "".join(pieces)
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
 

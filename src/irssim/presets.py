@@ -84,7 +84,7 @@ def build_preset(name: str) -> Tuple[Scenario, SweepSpec]:
             noise_power=thermal_noise_watts(100e6),
         ),
         fading=FadingModel(),
-        interference=InterfererSet.constant(dbm_to_watts(-100.0)),
+        interference=InterfererSet(constant_power=dbm_to_watts(-100.0)),
         tx=TX_POSITION,
         panel=None if irs is None else _default_panel(*angles),
         irs=irs,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Iterable, Tuple
 
 from irssim.channel import ChannelParams, _real
 from irssim.errors import InvalidInputError
@@ -20,7 +20,11 @@ REFERENCE_TEMPERATURE_K = 290.0
 
 @dataclass(frozen=True)
 class InterfererSet:
-    """A constant interference floor plus explicit interfering transmitters, summed."""
+    """A constant interference floor plus explicit interfering transmitters, summed.
+
+    ``interferers`` may be any iterable of (ChannelParams, Point3) pairs; it
+    is read once and stored as a tuple of pairs, so the set hashes.
+    """
 
     constant_power: float = 0.0
     interferers: Tuple[Tuple[ChannelParams, Point3], ...] = field(default_factory=tuple)
@@ -29,6 +33,7 @@ class InterfererSet:
         if not (0 <= _real("constant interference", self.constant_power) < math.inf):
             raise InvalidInputError(
                 f"constant interference must be finite and >= 0 W, got {self.constant_power!r}")
+        pairs = []
         for j, entry in enumerate(self.interferers):
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
                 raise InvalidInputError(
@@ -40,14 +45,12 @@ class InterfererSet:
             if not isinstance(position, Point3):
                 raise InvalidInputError(
                     f"interferer {j} position must be a Point3, got {position!r}")
+            pairs.append((params, position))
+        object.__setattr__(self, "interferers", tuple(pairs))
 
     @classmethod
-    def constant(cls, watts: float) -> "InterfererSet":
-        return cls(constant_power=watts)
-
-    @classmethod
-    def modeled(cls, entries: Sequence[Tuple[ChannelParams, Point3]]) -> "InterfererSet":
-        return cls(interferers=tuple(entries))
+    def modeled(cls, entries: Iterable[Tuple[ChannelParams, Point3]]) -> "InterfererSet":
+        return cls(interferers=entries)
 
 
 def thermal_noise_watts(bandwidth_hz: float) -> float:

@@ -99,6 +99,8 @@ class Scenario:
         direction = self.rx_direction
         if not (isinstance(direction, (Sequence, np.ndarray)) and len(direction) == 3):
             raise InvalidInputError(f"rx_direction must have 3 components, got {direction!r}")
+        # the components as given, in a tuple, so that the frozen scenario hashes
+        object.__setattr__(self, "rx_direction", tuple(direction))
         if not all(math.isfinite(_real("rx_direction component", c)) for c in direction):
             raise InvalidInputError(f"rx_direction must be finite, got {direction!r}")
         norm = math.sqrt(sum(c * c for c in direction))
@@ -435,9 +437,14 @@ def _sweeps(
     grid = spec.grid()
     if grid[0] <= 0:
         raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
+
+    def where(k: Optional[int], p: int) -> str:
+        # with several panels, row k is the sweep labelled labels[k]
+        of = f" of {labels[k]!r}" if k is not None and len(panels) > 1 else ""
+        return f"sweep point x={grid[p]!r}{of}"
+
     stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
-                      spec.trials, spec.seed, where=lambda k, p: f"sweep point x={grid[p]!r}",
-                      panels=panels)
+                      spec.trials, spec.seed, where=where, panels=panels)
     # tuple.__new__ makes each row in C, as compare_placement makes its entries
     return [
         SweepResult(

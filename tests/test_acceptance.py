@@ -375,5 +375,5 @@ steps = 20
     with pytest.raises(InvalidInputError):
         FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=None)
     with pytest.raises(InvalidInputError):
-        InterfererSet.constant(-1.0)
+        InterfererSet(constant_power=-1.0)
     report(9, "all documented constraints produce their named diagnostics")

@@ -36,6 +36,10 @@ def make_params(frequency=SPEED_OF_LIGHT, tx_power=1.0, alpha=2.0, noise=1e-10):
     )
 
 
+def constant(watts):
+    return InterfererSet(constant_power=watts)
+
+
 def make_panel(**overrides):
     fields = dict(
         element_length=0.005,
@@ -467,8 +471,8 @@ class TestValidation:
         (make_params, "tx_power", True),
         (make_params, "frequency", "28e9"),
         (make_params, "alpha", np.bool_(True)),
-        (InterfererSet.constant, "watts", "1"),
-        (InterfererSet.constant, "watts", False),
+        (constant, "watts", "1"),
+        (constant, "watts", False),
         (Point3, "x", True),
         (Point3, "z", "1.5"),
         (Point3, "y", 10 ** 400),
@@ -485,6 +489,6 @@ class TestValidation:
     def test_python_and_numpy_reals_accepted(self, value):
         assert make_params(tx_power=value).tx_power == 2.0
         assert make_panel(theta_t=value).theta_t == 2.0
-        assert InterfererSet.constant(value).constant_power == 2.0
+        assert InterfererSet(constant_power=value).constant_power == 2.0
         assert Point3(value, 0.0, 0.0).x == 2.0
         assert SweepSpec(start=value, stop=3.0, steps=2).start == 2.0

@@ -354,7 +354,7 @@ def configs(draw):
                               path_loss_exponent=channel["path_loss_exponent"],
                               noise_power=noise),
         fading=FadingModel(seed=spec.seed, **present(fading or {}, mode="mode")),
-        interference=InterfererSet.constant(dbm_to_watts(channel["interference_dbm"])),
+        interference=InterfererSet(constant_power=dbm_to_watts(channel["interference_dbm"])),
         tx=Point3(*geometry["tx"]),
         panel=None if panel is None else IrsPanel(
             element_length=panel["element_length_m"], element_width=panel["element_width_m"],
@@ -652,6 +652,14 @@ class TestCli:
                          "--trials", "100", "--format", "json", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        proc = subprocess.run([sys.executable, "-m", "irssim", "presets"],
+                              capture_output=True, text=True)
+        assert main(["presets"]) == 0
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stderr == ""
 
     def test_unknown_flag_exits_nonzero(self):
         proc = subprocess.run(

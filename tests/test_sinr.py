@@ -45,7 +45,8 @@ class TestAggregateInterference:
     """The kernel's interference term: the constant floor plus each modeled interferer."""
 
     def test_constant_passthrough(self):
-        assert interference_at(InterfererSet.constant(1e-11)) == pytest.approx(1e-11, rel=1e-12)
+        assert interference_at(InterfererSet(constant_power=1e-11)) == pytest.approx(
+            1e-11, rel=1e-12)
 
     def test_empty_modeled_set(self):
         assert denominator(InterfererSet.modeled([])) == denominator(InterfererSet())
@@ -76,6 +77,17 @@ class TestAggregateInterference:
         assert interference_at(interferer_set) == pytest.approx(
             conventional_rx_power(params, 25.0), rel=1e-12)
 
+    def test_any_iterable_of_pairs_is_read_once_and_hashes(self):
+        # the checks used to run a generator to its end and store it empty
+        pairs = [(make_params(), Point3(0, 25, 0)), (make_params(), Point3(30, 0, 5))]
+        expected = denominator(InterfererSet(interferers=tuple(pairs)))
+        for given in ((pair for pair in pairs), pairs, [list(pair) for pair in pairs]):
+            interferer_set = InterfererSet(interferers=given)
+            assert interferer_set.interferers == tuple(pairs)
+            assert hash(interferer_set) == hash(InterfererSet(interferers=tuple(pairs)))
+            assert denominator(interferer_set) == expected
+        assert InterfererSet.modeled(pair for pair in pairs).interferers == tuple(pairs)
+
     def test_coincident_interferer_rejected(self):
         interferer_set = InterfererSet.modeled([(make_params(), Point3(1, 1, 1))])
         with pytest.raises(DegenerateGeometryError, match="interferer 0 .* coincides"):
@@ -89,8 +101,6 @@ class TestAggregateInterference:
             1e-11 + conventional_rx_power(params, 25.0), rel=1e-12)
 
     def test_constant_must_be_nonnegative(self):
-        with pytest.raises(InvalidInputError):
-            InterfererSet.constant(-1e-12)
         with pytest.raises(InvalidInputError):
             InterfererSet(constant_power=-1e-12)
 

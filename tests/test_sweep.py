@@ -62,7 +62,7 @@ def conventional_scenario(alpha=2.0, fading=None):
     return Scenario(
         channel=make_channel(alpha),
         fading=fading or FadingModel(mode=FadingMode.DETERMINISTIC),
-        interference=InterfererSet.constant(1e-13),
+        interference=InterfererSet(constant_power=1e-13),
         tx=Point3(0, 0, 10),
         label="conv",
     )
@@ -72,7 +72,7 @@ def irs_scenario(theta_t=45.0, theta_r=45.0, fading=None, irs=Point3(50, 0, 10))
     return Scenario(
         channel=make_channel(),
         fading=fading or FadingModel(mode=FadingMode.DETERMINISTIC),
-        interference=InterfererSet.constant(1e-13),
+        interference=InterfererSet(constant_power=1e-13),
         tx=Point3(0, 0, 10),
         panel=make_panel(theta_t, theta_r),
         irs=irs,
@@ -130,7 +130,7 @@ class TestScenario:
             Scenario(
                 channel=make_channel(),
                 fading=FadingModel(),
-                interference=InterfererSet.constant(0.0),
+                interference=InterfererSet(constant_power=0.0),
                 tx=Point3(0, 0, 10),
                 irs=Point3(50, 0, 10),
             )
@@ -140,7 +140,7 @@ class TestScenario:
             Scenario(
                 channel=make_channel(),
                 fading=FadingModel(),
-                interference=InterfererSet.constant(0.0),
+                interference=InterfererSet(constant_power=0.0),
                 tx=Point3(0, 0, 10),
                 panel=make_panel(),
             )
@@ -180,6 +180,14 @@ class TestScenario:
     def test_direction_may_be_any_sequence_of_three_reals(self, direction):
         scenario = dataclasses.replace(conventional_scenario(), rx_direction=direction)
         np.testing.assert_array_equal(scenario.receivers_at([5.0]), [[0.0, 5.0, 10.0]])
+
+    @pytest.mark.parametrize("direction", [[0, 2, 0], np.array([0.0, 2.0, 0.0])],
+                             ids=["list", "array"])
+    def test_direction_is_stored_as_a_tuple_as_given(self, direction):
+        scenario = dataclasses.replace(conventional_scenario(), rx_direction=direction)
+        assert type(scenario.rx_direction) is tuple
+        assert scenario.rx_direction == (0, 2, 0)
+        assert hash(scenario) == hash(dataclasses.replace(scenario, rx_direction=(0, 2, 0)))
 
 
 class TestDistanceSweep:
@@ -849,6 +857,17 @@ class TestFaults:
             run(self)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+    def test_angle_sweep_fault_names_the_pair(self):
+        scenario = irs_scenario()
+        scenario = dataclasses.replace(
+            scenario, channel=dataclasses.replace(scenario.channel, tx_power=1e-300))
+        with pytest.raises(InvalidInputError) as caught:
+            run_angle_sweep(scenario, [(0, 0), (89.9999999, 89.9999999)],
+                            SweepSpec(start=5.0, stop=100.0, steps=4))
+        assert str(caught.value) == (
+            f"sweep point x=5.0 of '{scenario.label} theta_t=90 theta_r=90':"
+            " received power 0.0 W is outside the float range; check the link budget")
 
     @pytest.mark.parametrize("first_receiver,expected", [
         # pair (0, 0) has r2 = 0 and comes before the interferer's pair (0, 1)
