@@ -148,10 +148,6 @@ class FadingModel:
         elif self.mode is FadingMode.RAYLEIGH_EXPONENTIAL:
             raise InvalidInputError("rayleigh fading requires a seed")
 
-    @property
-    def is_random(self) -> bool:
-        return self.mode is FadingMode.RAYLEIGH_EXPONENTIAL
-
 
 def watts_to_dbm(watts: float) -> float:
     if not (watts > 0):

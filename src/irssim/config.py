@@ -59,7 +59,7 @@ def _choice(enum) -> _Kind:
 
 
 _FLOAT = _Kind(float, "a float")
-_INT = _Kind(_integer, "a int")
+_INT = _Kind(_integer, "an integer")
 _POINT = _Kind(_point, "three finite numbers 'x y z'")
 _DIRECTION = _Kind(lambda raw: astuple(_point(raw)), _POINT.expected)
 _TEXT = _Kind(str, "text")

@@ -42,6 +42,7 @@ import numpy as np
 from irssim.channel import (
     ChannelParams,
     ConventionalModel,
+    FadingMode,
     FadingModel,
     IrsPanel,
     _check_member,
@@ -74,7 +75,9 @@ class Scenario:
     panel and an IRS position, conventional when it carries neither.
 
     Receivers lie on a ray in direction ``rx_direction`` that starts at the
-    reflector, or at the transmitter on a conventional link.
+    reflector, or at the transmitter on a conventional link. Every field is
+    checked for its type; ``assumptions`` may be any sequence of strings
+    other than a string, and is stored as a tuple.
     """
 
     channel: ChannelParams
@@ -93,9 +96,21 @@ class Scenario:
         if (self.panel is None) != (self.irs is None):
             raise InvalidInputError(
                 "a scenario carries both a panel and an IRS position, or neither")
-        for name in ("tx",) if self.irs is None else ("tx", "irs"):
-            if not isinstance(getattr(self, name), Point3):
-                raise InvalidInputError(f"{name} must be a Point3, got {getattr(self, name)!r}")
+        kinds = [("channel", ChannelParams), ("fading", FadingModel),
+                 ("interference", InterfererSet), ("tx", Point3), ("label", str)]
+        if self.irs is not None:
+            kinds += [("panel", IrsPanel), ("irs", Point3)]
+        for name, kind in kinds:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                article = "an" if kind.__name__[0] in "AEIOU" else "a"
+                raise InvalidInputError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        assumptions = self.assumptions
+        if (isinstance(assumptions, str) or not isinstance(assumptions, Sequence)
+                or not all(isinstance(a, str) for a in assumptions)):
+            raise InvalidInputError(
+                f"assumptions must be a sequence of strings, got {assumptions!r}")
+        object.__setattr__(self, "assumptions", tuple(assumptions))
         direction = self.rx_direction
         if not (isinstance(direction, (Sequence, np.ndarray)) and len(direction) == 3):
             raise InvalidInputError(f"rx_direction must have 3 components, got {direction!r}")
@@ -202,13 +217,12 @@ class PlacementReport:
 class _LinkStats(NamedTuple):
     """Per (signal row, receiver) statistics over the fading trials.
 
-    Row a*K + k is panel a at reflector position k. The stddev does not
-    depend on the row: it is one (P,) array, broadcast read-only over the rows.
+    Row a*K + k is panel a at reflector position k.
     """
 
     power: np.ndarray  # (R, P) mean received power, W
     sinr_db: np.ndarray  # (R, P) mean of the per-trial SINR in dB
-    sinr_db_stddev: np.ndarray  # (R, P) population stddev of the per-trial SINR in dB
+    sinr_db_stddev: np.ndarray  # (P,) population stddev of the per-trial SINR in dB
     percentiles: np.ndarray  # (Q, R, P) per-trial SINR percentiles in dB
 
 
@@ -232,14 +246,15 @@ def _link_powers(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unit-fading received power of each of A panels (by default the
     scenario's own) at each of K positions, shape (A*K, P) with row a*K + k
-    (conventional mode has one row), and the interference power at each
-    receiver, shape (P,).
+    (conventional mode has one row), and the noise-plus-interference power
+    at each receiver, shape (P,).
 
-    The interference is the constant floor plus the direct-link power of each
+    That power is the constant floor, plus the direct-link power of each
     modeled interferer, faded by its gain at the receiver (stream index
-    ``_INTERFERENCE_STREAM_BASE + p*J + j``); with no interferers nothing is
-    drawn. The legs and the interferers are checked first, as
-    :func:`_evaluate` describes, so the power formulas see no degenerate pair.
+    ``_INTERFERENCE_STREAM_BASE + p*J + j``), plus the thermal noise; with no
+    interferers nothing is drawn. The legs and the interferers are checked
+    first, as :func:`_evaluate` describes, so the power formulas see no
+    degenerate pair.
     """
     if irs is None:
         legs = (distance(scenario.tx, rx)[None, :],)
@@ -257,7 +272,8 @@ def _link_powers(
     bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
     if bad.any():
         k, p = np.argwhere(bad)[0].tolist()
-        fault = next(f for f, mask in enumerate(masks) if np.broadcast_to(mask, bad.shape)[k, p])
+        # mask & bad is the mask at bad's shape, and bad holds at (k, p)
+        fault = next(f for f, mask in enumerate(masks) if (mask & bad)[k, p])
         raise DegenerateGeometryError(
             f"{where(k if fault < len(legs) else None, p)}: {faults[fault]}")
     if irs is None:
@@ -265,13 +281,14 @@ def _link_powers(
     else:
         signal = np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
                                  for panel in panels or (scenario.panel,)])
-    interference = np.full(len(rx), scenario.interference.constant_power)
+    denominator = np.full(len(rx), scenario.interference.constant_power)
     if interferers:
         gains = sample_fading_block(fading, _INTERFERENCE_STREAM_BASE, reach.size)
         # the gains of interferer j are column j of the (P, J) block
         for (params, _), r, gain in zip(interferers, reach, gains.reshape(len(rx), -1).T):
-            interference += conventional_rx_power(params, r, gain, scenario.conventional_model)
-    return signal, interference
+            denominator += conventional_rx_power(params, r, gain, scenario.conventional_model)
+    denominator += scenario.channel.noise_power
+    return signal, denominator
 
 
 def _check_range(power: np.ndarray, name: str, place: Callable[[int, int], str]) -> None:
@@ -310,14 +327,13 @@ def _evaluate(
     is named ``where(k, p)``, one of receiver p alone ``where(None, p)``.
     """
     fading = scenario.fading
-    if fading.is_random:
-        fading = replace(fading, seed=seed)
-    else:
+    if fading.mode is FadingMode.DETERMINISTIC:
         trials = 1
+    else:
+        fading = replace(fading, seed=seed)
     # a power beyond the float range is reported below, not warned about
     with np.errstate(all="ignore"):
-        signal, interference = _link_powers(scenario, irs, rx, fading, where, panels)
-        denominator = interference + scenario.channel.noise_power
+        signal, denominator = _link_powers(scenario, irs, rx, fading, where, panels)
     _check_range(signal, "received power", where)
     _check_range(denominator[None, :], "interference plus noise power",
                  lambda k, p: where(None, p))
@@ -332,7 +348,7 @@ def _evaluate(
     return _LinkStats(
         power=power,
         sinr_db=signal_db + fade_db,
-        sinr_db_stddev=np.broadcast_to(stddev, signal.shape),
+        sinr_db_stddev=stddev,
         percentiles=signal_db + fade_percentiles[:, None, :],
     )
 
@@ -445,17 +461,17 @@ def _sweeps(
 
     stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
                       spec.trials, spec.seed, where=where, panels=panels)
+    stddev = stats.sinr_db_stddev.tolist()
     # tuple.__new__ makes each row in C, as compare_placement makes its entries
     return [
         SweepResult(
             scenario_label=label,
             variable_name="distance_m",
             rows=tuple(map(tuple.__new__, repeat(SweepRow), zip(
-                grid, map(watts_to_dbm, power.tolist()), sinr_db.tolist(), stddev.tolist()))),
+                grid, map(watts_to_dbm, power.tolist()), sinr_db.tolist(), stddev))),
             metadata=_base_metadata(scenario, spec),
         )
-        for label, power, sinr_db, stddev in zip(
-            labels, stats.power, stats.sinr_db, stats.sinr_db_stddev)]
+        for label, power, sinr_db in zip(labels, stats.power, stats.sinr_db)]
 
 
 def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
@@ -484,7 +500,15 @@ def run_angle_sweep(
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
     panels = [replace(scenario.panel, theta_t=t, theta_r=r) for t, r in angle_pairs]
     return _sweeps(scenario, spec, panels, [
-        f"{scenario.label} theta_t={p.theta_t:g} theta_r={p.theta_r:g}" for p in panels])
+        f"{scenario.label} theta_t={_angle_text(p.theta_t)} theta_r={_angle_text(p.theta_r)}"
+        for p in panels])
+
+
+def _angle_text(angle: float) -> str:
+    """The angle written with :g when that reads back as the same float, else its repr,
+    so that two different angles never share a label."""
+    text = f"{angle:g}"
+    return text if float(text) == angle else repr(float(angle))
 
 
 def monte_carlo_stats(
@@ -499,7 +523,7 @@ def monte_carlo_stats(
                       where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
     return MonteCarloStats(
         mean_sinr_db=float(stats.sinr_db[0, 0]),
-        stddev_sinr_db=float(stats.sinr_db_stddev[0, 0]),
+        stddev_sinr_db=float(stats.sinr_db_stddev[0]),
         p5_sinr_db=float(stats.percentiles[0, 0, 0]),
         p95_sinr_db=float(stats.percentiles[1, 0, 0]),
         mean_rx_power_w=float(stats.power[0, 0]),

@@ -174,7 +174,7 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
             mean_db = sum(sinr_db) / draws
             assert stats.power[k, p] == pytest.approx(sum(powers) / draws, rel=1e-12)
             assert stats.sinr_db[k, p] == pytest.approx(mean_db, rel=1e-12, abs=1e-12)
-            assert stats.sinr_db_stddev[k, p] == pytest.approx(
+            assert stats.sinr_db_stddev[p] == pytest.approx(
                 math.sqrt(sum((v - mean_db) ** 2 for v in sinr_db) / draws),
                 rel=1e-12, abs=1e-12)
 

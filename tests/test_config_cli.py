@@ -213,7 +213,7 @@ class TestParseScenario:
     def test_non_finite_integer_named(self, name, value):
         old, new = INTEGER_KEYS[name]
         assert IRS_CONFIG.count(old) == 1
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a int")):
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer")):
             parse_scenario(IRS_CONFIG.replace(old, new.format(value)))
 
     @pytest.mark.parametrize("old,new,name", [
@@ -253,7 +253,7 @@ class TestParseScenario:
     @pytest.mark.parametrize("value", ["9007199254740993.0", "1e16", "2.5"])
     def test_inexact_numeral_rejected(self, value):
         old, new = INTEGER_KEYS["sweep.seed"]
-        message = f"sweep.seed must be a int, got {value!r}"
+        message = f"sweep.seed must be an integer, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_scenario(IRS_CONFIG.replace(old, new.format(value)))
 
@@ -484,7 +484,7 @@ class TestCli:
         args = ["sweep", "--config", str(config)] if command == "sweep" else [command, str(config)]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err == "error: sweep.steps must be a int, got 'inf'\n"
+        assert err == "error: sweep.steps must be an integer, got 'inf'\n"
 
     @pytest.mark.parametrize("command", ["sweep", "validate"])
     def test_byte_order_mark_is_ignored(self, tmp_path, capsys, command):
@@ -660,6 +660,15 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout == capsys.readouterr().out
         assert proc.stderr == ""
+
+    def test_cli_module_prints_what_the_package_prints(self):
+        # runs the __main__ block of irssim.cli, which python -m irssim does not
+        printed = [subprocess.run([sys.executable, "-m", module, "presets"],
+                                  capture_output=True, text=True)
+                   for module in ("irssim.cli", "irssim")]
+        assert [proc.returncode for proc in printed] == [0, 0]
+        assert printed[0].stdout == printed[1].stdout != ""
+        assert [proc.stderr for proc in printed] == ["", ""]
 
     def test_unknown_flag_exits_nonzero(self):
         proc = subprocess.run(

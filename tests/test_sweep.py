@@ -156,6 +156,27 @@ class TestScenario:
             dataclasses.replace(irs_scenario(), **{name: (50.0, 0.0, 10.0)})
         assert str(caught.value) == f"{name} must be a Point3, got (50.0, 0.0, 10.0)"
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("channel", "x", "channel must be a ChannelParams, got 'x'"),
+        ("fading", "rayleigh", "fading must be a FadingModel, got 'rayleigh'"),
+        ("interference", 0.0, "interference must be an InterfererSet, got 0.0"),
+        ("panel", "p", "panel must be an IrsPanel, got 'p'"),
+        ("label", 3, "label must be a str, got 3"),
+        ("assumptions", "abc", "assumptions must be a sequence of strings, got 'abc'"),
+        ("assumptions", ("a", 1), "assumptions must be a sequence of strings, got ('a', 1)"),
+        ("assumptions", None, "assumptions must be a sequence of strings, got None"),
+    ], ids=["channel", "fading", "interference", "panel", "label", "assumptions_str",
+            "assumptions_entry", "assumptions_none"])
+    def test_every_field_is_checked(self, name, value, message):
+        with pytest.raises(InvalidInputError) as caught:
+            dataclasses.replace(irs_scenario(), **{name: value})
+        assert str(caught.value) == message
+
+    def test_assumptions_are_stored_as_a_tuple(self):
+        scenario = dataclasses.replace(irs_scenario(), assumptions=["a", "b"])
+        assert scenario.assumptions == ("a", "b")
+        assert hash(scenario) == hash(dataclasses.replace(scenario, assumptions=("a", "b")))
+
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInputError):
             dataclasses.replace(conventional_scenario(), rx_direction=(0.0, 0.0, 0.0))
@@ -459,8 +480,8 @@ class TestSharedFading:
         signal_db = 10.0 * np.log10(sweep_module._link_powers(
             scenario, irs, rx, scenario.fading, where=lambda k, p: "")[0])
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
-        assert np.all(stats.sinr_db_stddev == stats.sinr_db_stddev[0])
-        assert np.all(stats.sinr_db_stddev[0] > 0)
+        assert stats.sinr_db_stddev.shape == (len(rx),)  # one row for every position
+        assert np.all(stats.sinr_db_stddev > 0)
         for values in (stats.sinr_db, *stats.percentiles):
             fade = values - signal_db
             np.testing.assert_allclose(fade, np.broadcast_to(fade[0], fade.shape),
@@ -490,6 +511,15 @@ class TestAngleSweep:
         results = run_angle_sweep(self.fading_scenario(), [(0, 0), (60, 60)], self.spec)
         for a, b in zip(results[0].rows, results[1].rows):
             assert a.sinr_db - b.sinr_db == pytest.approx(6.0206, abs=1e-4)
+
+    def test_labels_name_the_exact_angles(self):
+        pairs = [(45, 45), (45.0000001, 45), (60, 60.5)]
+        results = run_angle_sweep(self.fading_scenario(), pairs, self.spec)
+        label = self.fading_scenario().label
+        assert [r.scenario_label for r in results] == [
+            f"{label} theta_t=45 theta_r=45", f"{label} theta_t=45.0000001 theta_r=45",
+            f"{label} theta_t=60 theta_r=60.5"]
+        assert results[0].rows != results[1].rows
 
     @pytest.mark.parametrize("fading", [
         FadingModel(mode=FadingMode.DETERMINISTIC),
@@ -866,7 +896,7 @@ class TestFaults:
             run_angle_sweep(scenario, [(0, 0), (89.9999999, 89.9999999)],
                             SweepSpec(start=5.0, stop=100.0, steps=4))
         assert str(caught.value) == (
-            f"sweep point x=5.0 of '{scenario.label} theta_t=90 theta_r=90':"
+            f"sweep point x=5.0 of '{scenario.label} theta_t=89.9999999 theta_r=89.9999999':"
             " received power 0.0 W is outside the float range; check the link budget")
 
     @pytest.mark.parametrize("first_receiver,expected", [
