@@ -12,10 +12,19 @@ once and not copied again, and :func:`emit_results` writes it in one call:
   of its object, so ``"rows": 0`` is followed by a newline and the two-space
   ``}`` that closes that object, a text no string token (which never holds a
   raw newline) and no deeper object can contain. Row values must be JSON
-  scalars (numbers, booleans, ``None`` or strings): one compact ``json.dumps``
-  call with a newline as item separator encodes them all, each token exactly
-  as ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
+  scalars (numbers, booleans, ``None`` or strings). A compact ``json.dumps``
+  call with a newline as item separator encodes them, each token exactly as
+  ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
   never occurs inside a token, so splitting on it recovers one token per value.
+  A rows column that repeats the same column of the previous result bit for
+  bit (every value exactly a ``float`` and the two columns' IEEE 754 bytes
+  equal, so ``-0.0`` against ``0.0``, ``1`` or ``True`` against ``1.0`` and
+  two NaN objects never match) takes that result's tokens, and only the other
+  columns are encoded: the five figure curves share their distance grid and,
+  with one seed and one noise floor, their SINR stddev column. Only the
+  previous result's tokens are kept, and they are freed before the next
+  result's are made, so a document still peaks at about its pieces plus their
+  join; a cache of every column read would hold a token object per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
   the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
   quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or line
@@ -25,12 +34,14 @@ once and not copied again, and :func:`emit_results` writes it in one call:
 from __future__ import annotations
 
 import json
-from itertools import chain
+from array import array
+from itertools import chain, islice
+from operator import eq
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 from irssim.errors import InvalidInputError
-from irssim.sweep import SweepResult
+from irssim.sweep import SweepResult, SweepRow
 
 CSV_HEADER = "scenario,x,rx_power_dbm,sinr_db,sinr_db_stddev"
 
@@ -52,13 +63,50 @@ def _csv_rows(result: SweepResult) -> str:
     return "\n".join([row] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
 
 
-def _json_rows(result: SweepResult) -> str:
-    """The rows array at nesting level 2."""
-    if not result.rows:
-        return "[]"
-    tokens = json.dumps(tuple(chain.from_iterable(result.rows)), separators=("\n", ":"))
-    template = "[\n" + ",\n".join([_JSON_ROW] * len(result.rows)) + "\n    ]"
-    return template % tuple(tokens[1:-1].split("\n"))
+def _encode(values) -> list:
+    """The JSON token of each value, from one compact ``json.dumps`` call."""
+    return json.dumps(tuple(values), separators=("\n", ":"))[1:-1].split("\n")
+
+
+def _same_bits(column: tuple, previous: tuple) -> bool:
+    """Whether two columns hold the same floats bit for bit, and so the same tokens."""
+    return (column == previous
+            and set(map(type, chain(column, previous))) == {float}
+            and array("d", column).tobytes() == array("d", previous).tobytes())
+
+
+def _tokens(rows: Sequence[SweepRow], columns: tuple, shared: dict) -> list:
+    """The row-major tokens of ``rows``: the ``shared`` columns' as given, the rest encoded."""
+    if not shared:
+        return _encode(chain.from_iterable(rows))
+    fresh = iter(_encode(chain.from_iterable(
+        column for j, column in enumerate(columns) if j not in shared)))
+    tokens = [""] * (4 * len(rows))
+    for j in range(4):
+        tokens[j::4] = shared[j] if j in shared else islice(fresh, len(rows))
+    return tokens
+
+
+def _json_rows(results: Sequence[SweepResult]) -> Iterator[str]:
+    """Each result's rows array at nesting level 2.
+
+    A column that repeats the previous result's column bit for bit takes that
+    result's tokens, and only the other columns are encoded.
+    """
+    previous, previous_columns, tokens = (), (), []
+    for result in results:
+        rows, columns, shared = result.rows, (), {}
+        # a column repeats only if its first value does, which is cheap to ask
+        if rows and len(rows) == len(previous) and any(map(eq, rows[0], previous[0])):
+            columns = tuple(zip(*rows))
+            previous_columns = previous_columns or tuple(zip(*previous))
+            shared = {j: tokens[j::4] for j in range(4)
+                      if _same_bits(columns[j], previous_columns[j])}
+        del tokens  # the previous result's tokens go before this result's are made
+        tokens = _tokens(rows, columns, shared) if rows else []
+        template = "[\n" + ",\n".join([_JSON_ROW] * len(rows)) + "\n    ]" if rows else "[]"
+        yield template % tuple(tokens)
+        previous, previous_columns = rows, columns
 
 
 def render_results(results: Sequence[SweepResult], fmt: str) -> str:
@@ -72,8 +120,8 @@ def render_results(results: Sequence[SweepResult], fmt: str) -> str:
                     "metadata": result.metadata, "rows": 0} for result in results]
         heads = json.dumps(payload, indent=2).split('"rows": 0\n  }')
         pieces = [heads[0]]
-        for result, head in zip(results, heads[1:]):
-            pieces += ('"rows": ', _json_rows(result), "\n  }", head)
+        for rows, head in zip(_json_rows(results), heads[1:]):
+            pieces += ('"rows": ', rows, "\n  }", head)
         pieces.append("\n")
         return "".join(pieces)
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -4,7 +4,7 @@ The oracles below are the per-row renderers that ``irssim.output`` used to
 run: ``json.dumps(payload, indent=2)`` of the whole result list, and one
 f-string per row. The renderers must reproduce them byte for byte on any
 input, including non-finite values and awkward label, assumption and
-metadata text.
+metadata text, and whichever columns repeat from one result to the next.
 """
 
 import csv
@@ -13,11 +13,16 @@ import io
 import json
 import math
 import tracemalloc
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irssim import SweepResult, SweepRow, build_preset, run_distance_sweep
+from irssim import (FadingModel, SweepResult, SweepRow, build_preset, run_angle_sweep,
+                    run_distance_sweep)
+from irssim import output
+from irssim.channel import FadingMode
 from irssim.output import CSV_HEADER, render_results
 from irssim.presets import PRESET_NAMES
 
@@ -164,3 +169,86 @@ def test_document_is_not_copied_once_rendered(dense_preset_sweeps, fmt):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * len(text)
+
+
+# values whose neighbours compare equal with other bits or another type
+NEAR_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 0.1, 1e16, math.nan, math.inf, -math.inf]
+TWEAKS = {
+    "zero sign": lambda v: -v if type(v) is float and v == 0 else v,
+    "equal int": lambda v: int(v) if type(v) is float and v.is_integer() else v,
+    "equal bool": lambda v: bool(v) if type(v) is float and v in (0.0, 1.0) else v,
+    "back to float": lambda v: float(v) if type(v) in (int, bool) else v,
+    "nan": lambda v: math.nan,
+    "str": lambda v: repr(v),
+}
+
+
+@st.composite
+def repeating_results(draw):
+    """Results whose columns are the previous result's, as they are or changed slightly."""
+    value = st.one_of(st.sampled_from(NEAR_VALUES), st.floats())
+    rows = draw(st.integers(0, 4))
+    columns = [[draw(value) for _ in range(rows)] for _ in range(4)]
+    results = []
+    for _ in range(draw(st.integers(1, 6))):
+        edit = draw(st.sampled_from(["copy", "copy", "rebuilt", "tweak", "tweak",
+                                     "drop row", "add row", "empty"]))
+        if edit == "empty":
+            results.append(SweepResult("empty", "distance_m", ()))
+            continue
+        columns = [list(column) for column in columns]
+        if edit == "rebuilt":  # the same bits in new float objects
+            columns = [array("d", c).tolist() if all(type(v) is float for v in c) else c
+                       for c in columns]
+        elif edit == "tweak" and columns[0]:
+            i, j = draw(st.integers(0, len(columns[0]) - 1)), draw(st.integers(0, 3))
+            columns[j][i] = TWEAKS[draw(st.sampled_from(sorted(TWEAKS)))](columns[j][i])
+        elif edit == "drop row":
+            columns = [column[:-1] for column in columns]
+        elif edit == "add row":
+            columns = [column + [draw(value)] for column in columns]
+        results.append(SweepResult("r", "distance_m", tuple(map(SweepRow._make, zip(*columns)))))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_results())
+def test_json_of_repeated_columns_matches_json_dumps(results):
+    assert render_results(results, "json") == json_oracle(results)
+
+
+@pytest.fixture(scope="module")
+def figure_sweeps():
+    """The five presets as the figure_sweeps benchmark runs them: Rayleigh, 1600 x 10."""
+    def sweep(scenario, spec):
+        scenario = dataclasses.replace(
+            scenario, fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+        return run_distance_sweep(scenario, dataclasses.replace(spec, steps=1600, trials=10, seed=1))
+    return [sweep(*build_preset(name)) for name in PRESET_NAMES]
+
+
+def test_figure_sweeps_json_matches_json_dumps(figure_sweeps):
+    assert render_results(figure_sweeps, "json") == json_oracle(figure_sweeps)
+
+
+def test_angle_sweep_json_matches_json_dumps():
+    scenario, spec = build_preset("fig2b")
+    scenario = dataclasses.replace(
+        scenario, fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=3))
+    results = run_angle_sweep(scenario, [(45, 45), (60, 60), (45, 60), (45.0000001, 45)],
+                              dataclasses.replace(spec, steps=400, trials=100, seed=3))
+    assert render_results(results, "json") == json_oracle(results)
+
+
+def test_repeated_columns_are_encoded_once(figure_sweeps, monkeypatch):
+    """All five curves share the x grid and, with one seed and one noise floor, the
+    SINR stddev column, so fig2a-d encode only their power and SINR columns."""
+    counted = []
+
+    def dumps(obj, **kwargs):
+        counted.append(sum(not isinstance(value, dict) for value in obj))
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(output, "json", SimpleNamespace(dumps=dumps))
+    render_results(figure_sweeps, "json")
+    assert sum(counted) == 1600 * 4 + 4 * 1600 * 2 == 19_200
