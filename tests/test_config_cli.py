@@ -1,6 +1,7 @@
 """Config parsing, result emission, and CLI behavior."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -31,6 +32,7 @@ from irssim import (
     thermal_noise_watts,
 )
 from irssim.channel import ConventionalModel, FadingMode, ratio_from_db
+from irssim import presets
 from irssim.cli import main
 from irssim.output import CSV_HEADER, render_results
 
@@ -378,7 +380,69 @@ def test_config_round_trip(case):
     assert parse_scenario(text) == (scenario, spec)
 
 
+# Each preset built directly in Python, without a config document: the
+# reference that build_preset must match.
+REFERENCE_ASSUMPTIONS = (
+    "cell radius assumed 100 m",
+    "carrier 28 GHz, tx power 30 dBm, path-loss exponent 2",
+    "noise floor k*T*B at 290 K over 100 MHz",
+    "constant interference -100 dBm",
+    "IRS sweeps vary the reflector-to-receiver leg along a fixed ray; "
+    "the transmitter-to-reflector leg and both angles stay fixed",
+)
+# name -> (IRS position, theta_t, theta_r, assumptions beyond the defaults)
+REFERENCE_IRS = {
+    "fig1": None,
+    "fig2a": (Point3(50.0, 0.0, 10.0), 45.0, 45.0, ()),
+    "fig2b": (Point3(50.0, 0.0, 10.0), 60.0, 60.0, ()),
+    "fig2c": (Point3(50.0, 0.0, 10.0), 45.0, 60.0, ()),
+    "fig2d": (Point3(150.0, 0.0, 10.0), 60.0, 60.0,
+              ("IRS placed 50 m beyond the cell edge on the deployment axis",)),
+}
+
+
+def reference_preset(name):
+    irs = panel = None
+    assumptions = ()
+    if REFERENCE_IRS[name] is not None:
+        irs, theta_t, theta_r, assumptions = REFERENCE_IRS[name]
+        panel = IrsPanel(element_length=0.005, element_width=0.005, tx_side_elements=100,
+                         rx_side_elements=100, reflection_coefficient=0.9, tx_gain=10.0,
+                         rx_gain=10.0, theta_t=theta_t, theta_r=theta_r)
+    scenario = Scenario(
+        channel=ChannelParams(carrier_frequency=28e9, tx_power=dbm_to_watts(30.0),
+                              path_loss_exponent=2.0, noise_power=thermal_noise_watts(100e6)),
+        fading=FadingModel(),
+        interference=InterfererSet(constant_power=dbm_to_watts(-100.0)),
+        tx=Point3(0.0, 0.0, 10.0), panel=panel, irs=irs, label=name,
+        assumptions=REFERENCE_ASSUMPTIONS + assumptions,
+    )
+    return scenario, SweepSpec(start=5.0, stop=100.0, steps=96)
+
+
 class TestPresets:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_the_python_construction(self, name):
+        scenario, spec = build_preset(name)
+        expected, expected_spec = reference_preset(name)
+        for field in dataclasses.fields(Scenario):
+            value, reference = getattr(scenario, field.name), getattr(expected, field.name)
+            if field.name == "fading":  # every run sets the seed from its sweep
+                value, reference = value.mode, reference.mode
+            assert value == reference, field.name
+        assert spec == expected_spec
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_text_runs_as_a_config(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(presets._text(name), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path)]) == 0
+        from_text = capsys.readouterr().out
+        assert main(["sweep", "--preset", name]) == 0
+        assert from_text == capsys.readouterr().out
+
     def test_inventory(self):
         assert PRESET_NAMES == ("fig1", "fig2a", "fig2b", "fig2c", "fig2d")
 
@@ -407,8 +471,6 @@ class TestPresets:
 
 
 def run_preset(name, **spec_overrides):
-    import dataclasses
-
     scenario, spec = build_preset(name)
     if spec_overrides:
         spec = dataclasses.replace(spec, **spec_overrides)

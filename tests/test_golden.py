@@ -8,7 +8,11 @@ deterministic, fig2b Rayleigh) hold every value at full precision. They were
 rewritten once, when the kernel began to add the per-receiver fading term to
 each position's signal in dB instead of taking the log of their product: 95
 and 159 of their 384 values moved, by at most 5.3e-14 dB (1.9e-15 relative),
-and no CSV byte changed. placement_fig2b_seed7_interferers.json holds the
+and no CSV byte changed. Two files were added later, written by the array
+kernel before the presets became config documents: fig2d_deterministic.json
+pins the metadata of the one preset with an assumption of its own, and
+fig1_friis_deterministic.csv pins the `friis` direct-link formula
+(`--conventional-model friis`). placement_fig2b_seed7_interferers.json holds the
 placement ranking at full precision, and the Monte-Carlo statistics of the
 same scenario at one receiver, so that a last-bit change in the interference
 sum shows; it was written before the interference sum moved into the sweep
@@ -50,6 +54,8 @@ SWEEPS = {
     "fig1_deterministic.json": ("--preset", "fig1", "--format", "json"),
     "fig2b_rayleigh_seed42_trials100.json": ("--preset", "fig2b", "--format", "json")
     + RAYLEIGH_FLAGS,
+    "fig2d_deterministic.json": ("--preset", "fig2d", "--format", "json"),
+    "fig1_friis_deterministic.csv": ("--preset", "fig1", "--conventional-model", "friis"),
 }
 PLACEMENT = "placement_fig2b_seed7.csv"
 INTERFERERS = "placement_fig2b_seed7_interferers.json"
