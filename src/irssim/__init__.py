@@ -32,7 +32,7 @@ from irssim.presets import PRESET_NAMES, build_preset
 from irssim.config import parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.13.0"
+__version__ = "0.13.1"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

@@ -12,19 +12,21 @@ once and not copied again, and :func:`emit_results` writes it in one call:
   of its object, so ``"rows": 0`` is followed by a newline and the two-space
   ``}`` that closes that object, a text no string token (which never holds a
   raw newline) and no deeper object can contain. Row values must be JSON
-  scalars (numbers, booleans, ``None`` or strings). A compact ``json.dumps``
-  call with a newline as item separator encodes them, each token exactly as
-  ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a newline
-  never occurs inside a token, so splitting on it recovers one token per value.
-  A rows column that repeats the same column of the previous result bit for
-  bit (every value exactly a ``float`` and the two columns' IEEE 754 bytes
-  equal, so ``-0.0`` against ``0.0``, ``1`` or ``True`` against ``1.0`` and
-  two NaN objects never match) takes that result's tokens, and only the other
-  columns are encoded: the five figure curves share their distance grid and,
-  with one seed and one noise floor, their SINR stddev column. Only the
-  previous result's tokens are kept, and they are freed before the next
-  result's are made, so a document still peaks at about its pieces plus their
-  join; a cache of every column read would hold a token object per value.
+  scalars (numbers, booleans, ``None`` or strings), four to a row: each
+  result is transposed into columns strictly, so a ragged row raises. Each
+  column is encoded by a compact ``json.dumps`` call with a newline as item
+  separator, each token exactly as ``indent=2`` writes it (``NaN`` and
+  ``Infinity`` included), and a newline never occurs inside a token, so
+  splitting on it recovers one token per value. A column that repeats the
+  same column of the previous result bit for bit (every value exactly a
+  ``float`` and the two columns' IEEE 754 bytes equal, so ``-0.0`` against
+  ``0.0``, ``1`` or ``True`` against ``1.0`` and two NaN objects never match)
+  takes that result's tokens instead: the five figure curves share their
+  distance grid and, with one seed and one noise floor, their SINR stddev
+  column. Only the previous result's columns and tokens are kept, and its
+  tokens are freed before the next result's are encoded, so a document still
+  peaks at about its pieces plus their join; a cache of every column read
+  would hold a token object per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
   the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
   quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or line
@@ -35,13 +37,12 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import chain, islice
-from operator import eq
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Union
 
 from irssim.errors import InvalidInputError
-from irssim.sweep import SweepResult, SweepRow
+from irssim.sweep import SweepResult
 
 CSV_HEADER = "scenario,x,rx_power_dbm,sinr_db,sinr_db_stddev"
 
@@ -75,41 +76,27 @@ def _same_bits(column: tuple, previous: tuple) -> bool:
             and array("d", column).tobytes() == array("d", previous).tobytes())
 
 
-def _tokens(rows: Sequence[SweepRow], columns: tuple, shared: dict) -> list:
-    """The row-major tokens of ``rows``: the ``shared`` columns' as given, the rest encoded."""
-    if not shared:
-        return _encode(chain.from_iterable(rows))
-    fresh = iter(_encode(chain.from_iterable(
-        column for j, column in enumerate(columns) if j not in shared)))
-    tokens = [""] * (4 * len(rows))
-    for j in range(4):
-        tokens[j::4] = shared[j] if j in shared else islice(fresh, len(rows))
-    return tokens
-
-
-def _json_rows(results: Sequence[SweepResult]) -> Iterator[str]:
+def _json_rows(results: Iterable[SweepResult]) -> Iterator[str]:
     """Each result's rows array at nesting level 2.
 
     A column that repeats the previous result's column bit for bit takes that
     result's tokens, and only the other columns are encoded.
     """
-    previous, previous_columns, tokens = (), (), []
+    columns, tokens = (), []
     for result in results:
-        rows, columns, shared = result.rows, (), {}
-        # a column repeats only if its first value does, which is cheap to ask
-        if rows and len(rows) == len(previous) and any(map(eq, rows[0], previous[0])):
-            columns = tuple(zip(*rows))
-            previous_columns = previous_columns or tuple(zip(*previous))
-            shared = {j: tokens[j::4] for j in range(4)
-                      if _same_bits(columns[j], previous_columns[j])}
+        rows = result.rows
+        previous, columns = columns, tuple(zip(*rows, strict=True))
+        reused = [tokens[j] if j < len(previous) and _same_bits(column, previous[j]) else None
+                  for j, column in enumerate(columns)]
         del tokens  # the previous result's tokens go before this result's are made
-        tokens = _tokens(rows, columns, shared) if rows else []
+        tokens = [_encode(column) if same is None else same
+                  for column, same in zip(columns, reused)]
         template = "[\n" + ",\n".join([_JSON_ROW] * len(rows)) + "\n    ]" if rows else "[]"
-        yield template % tuple(tokens)
-        previous, previous_columns = rows, columns
+        yield template % tuple(chain.from_iterable(zip(*tokens)))
 
 
-def render_results(results: Sequence[SweepResult], fmt: str) -> str:
+def render_results(results: Iterable[SweepResult], fmt: str) -> str:
+    results = tuple(results)
     if not results:
         raise InvalidInputError("no results to emit")
     if fmt == "csv":
@@ -127,7 +114,7 @@ def render_results(results: Sequence[SweepResult], fmt: str) -> str:
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def emit_results(results: Sequence[SweepResult], fmt: str, destination: Destination) -> None:
+def emit_results(results: Iterable[SweepResult], fmt: str, destination: Destination) -> None:
     """Write results to a path or text stream; identical inputs yield identical bytes."""
     text = render_results(results, fmt)
     if isinstance(destination, (str, Path)):

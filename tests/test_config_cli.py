@@ -504,9 +504,15 @@ class TestEmitResults:
             assert row == [expected.x, expected.rx_power_dbm,
                            expected.sinr_db, expected.sinr_db_stddev]
 
-    def test_empty_results_rejected(self):
-        with pytest.raises(InvalidInputError):
-            render_results([], "csv")
+    def test_empty_results_rejected(self, tmp_path):
+        path = tmp_path / "out"
+        for results in ([], iter([])):  # an iterator is not falsy until it is read
+            for fmt in ("csv", "json"):
+                with pytest.raises(InvalidInputError, match="no results to emit"):
+                    render_results(results, fmt)
+                with pytest.raises(InvalidInputError, match="no results to emit"):
+                    emit_results(results, fmt, path)
+        assert not path.exists()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InvalidInputError) as caught:

@@ -23,7 +23,7 @@ from irssim import (FadingModel, SweepResult, SweepRow, build_preset, run_angle_
                     run_distance_sweep)
 from irssim import output
 from irssim.channel import FadingMode
-from irssim.output import CSV_HEADER, render_results
+from irssim.output import CSV_HEADER, emit_results, render_results
 from irssim.presets import PRESET_NAMES
 
 CSV_SPECIAL = ',"\r\n'
@@ -231,18 +231,22 @@ def test_figure_sweeps_json_matches_json_dumps(figure_sweeps):
     assert render_results(figure_sweeps, "json") == json_oracle(figure_sweeps)
 
 
-def test_angle_sweep_json_matches_json_dumps():
+@pytest.fixture(scope="module")
+def angle_sweeps():
+    """fig2b's four angle pairs of CI's angle check: Rayleigh, 400 x 100."""
     scenario, spec = build_preset("fig2b")
     scenario = dataclasses.replace(
         scenario, fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=3))
-    results = run_angle_sweep(scenario, [(45, 45), (60, 60), (45, 60), (45.0000001, 45)],
-                              dataclasses.replace(spec, steps=400, trials=100, seed=3))
-    assert render_results(results, "json") == json_oracle(results)
+    return run_angle_sweep(scenario, [(45, 45), (60, 60), (45, 60), (45.0000001, 45)],
+                           dataclasses.replace(spec, steps=400, trials=100, seed=3))
 
 
-def test_repeated_columns_are_encoded_once(figure_sweeps, monkeypatch):
-    """All five curves share the x grid and, with one seed and one noise floor, the
-    SINR stddev column, so fig2a-d encode only their power and SINR columns."""
+def test_angle_sweep_json_matches_json_dumps(angle_sweeps):
+    assert render_results(angle_sweeps, "json") == json_oracle(angle_sweeps)
+
+
+def encoded_values(results, monkeypatch):
+    """How many row values ``output.json.dumps`` receives to render ``results`` as JSON."""
     counted = []
 
     def dumps(obj, **kwargs):
@@ -250,5 +254,46 @@ def test_repeated_columns_are_encoded_once(figure_sweeps, monkeypatch):
         return json.dumps(obj, **kwargs)
 
     monkeypatch.setattr(output, "json", SimpleNamespace(dumps=dumps))
-    render_results(figure_sweeps, "json")
-    assert sum(counted) == 1600 * 4 + 4 * 1600 * 2 == 19_200
+    render_results(results, "json")
+    return sum(counted)
+
+
+def test_repeated_columns_are_encoded_once(figure_sweeps, monkeypatch):
+    """All five curves share the x grid and, with one seed and one noise floor, the
+    SINR stddev column, so fig2a-d encode only their power and SINR columns."""
+    assert encoded_values(figure_sweeps, monkeypatch) == 1600 * 4 + 4 * 1600 * 2 == 19_200
+
+
+def test_angle_sweep_repeated_columns_are_encoded_once(angle_sweeps, monkeypatch):
+    """The four angle pairs share the x grid and the SINR stddev column."""
+    assert encoded_values(angle_sweeps, monkeypatch) == 400 * 4 + 3 * 400 * 2 == 4_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_results_are_read_once(angle_sweeps, fmt):
+    expected = render_results(list(angle_sweeps), fmt)
+    assert render_results(iter(angle_sweeps), fmt) == expected
+    buffer = io.StringIO()
+    emit_results(iter(angle_sweeps), fmt, buffer)
+    assert buffer.getvalue() == expected
+
+
+RAGGED_ROWS = {
+    "five wide": ((1.0, 2.0, 3.0, 4.0, 5.0),),
+    "four then five wide": ((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0, 9.0)),
+    "five then four wide": ((1.0, 2.0, 3.0, 4.0, 5.0), (6.0, 7.0, 8.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", RAGGED_ROWS.values(), ids=RAGGED_ROWS)
+def test_rows_not_four_wide_are_rejected(rows, fmt, tmp_path):
+    """Neither format drops or shifts a value, even where the result before repeats
+    the ragged result's first four columns, and nothing is written."""
+    good = SweepResult("good", "distance_m", (SweepRow(1.0, 2.0, 3.0, 4.0),) * len(rows))
+    results = [good, SweepResult("ragged", "distance_m", rows)]
+    buffer, path = io.StringIO(), tmp_path / "out"
+    for destination in (buffer, path):
+        with pytest.raises((TypeError, ValueError)):
+            emit_results(results, fmt, destination)
+    assert buffer.getvalue() == "" and not path.exists()
