@@ -28,11 +28,10 @@ from irssim.sweep import (
     run_angle_sweep,
     run_distance_sweep,
 )
-from irssim.presets import PRESET_NAMES, build_preset
-from irssim.config import parse_scenario
+from irssim.config import PRESET_NAMES, build_preset, parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.13.1"
+__version__ = "0.14.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

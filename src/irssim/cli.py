@@ -9,10 +9,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from irssim.channel import ConventionalModel, FadingMode, FadingModel
-from irssim.config import parse_scenario
+from irssim.config import PRESET_DESCRIPTIONS, PRESET_NAMES, build_preset, parse_scenario
 from irssim.errors import ConfigError, SimulatorError
 from irssim.output import emit_results
-from irssim.presets import PRESET_DESCRIPTIONS, PRESET_NAMES, build_preset
 from irssim.sweep import run_distance_sweep
 
 

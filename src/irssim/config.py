@@ -1,4 +1,4 @@
-"""Scenario configuration parsing.
+"""Scenario configuration documents: parsing, and the built-in presets.
 
 Configs are flat INI-style documents with sections ``channel``, ``geometry``,
 ``panel``, ``fading`` and ``sweep``. Powers are given in dBm and gains in dBi
@@ -7,13 +7,19 @@ An unknown section or key is rejected, so a typo cannot silently fall back
 to a default; an optional key that is absent is not passed on, so the
 ``Scenario`` and ``SweepSpec`` defaults apply. Values are literal: ``%`` is
 not an interpolation marker.
+
+Each built-in preset is such a document. The source figures publish no
+parameter table, so every preset uses one documented default parameter set;
+its assumptions are carried verbatim in the result metadata. Absolute SINR
+levels are therefore illustrative; the curve shapes and relative gaps are the
+reproducible part.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
-from dataclasses import astuple
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from irssim.channel import (
@@ -61,15 +67,13 @@ def _choice(enum) -> _Kind:
 _FLOAT = _Kind(float, "a float")
 _INT = _Kind(_integer, "an integer")
 _POINT = _Kind(_point, "three finite numbers 'x y z'")
-_DIRECTION = _Kind(lambda raw: astuple(_point(raw)), _POINT.expected)
 _TEXT = _Kind(str, "text")
 
 _KEYS: Dict[str, Dict[str, _Kind]] = {
     "channel": {"frequency_hz": _FLOAT, "tx_power_dbm": _FLOAT, "path_loss_exponent": _FLOAT,
                 "noise_dbm": _FLOAT, "noise_bandwidth_hz": _FLOAT, "interference_dbm": _FLOAT,
                 "model": _choice(ConventionalModel)},
-    "geometry": {"mode": _TEXT, "label": _TEXT, "tx": _POINT, "irs": _POINT,
-                 "rx_direction": _DIRECTION},
+    "geometry": {"mode": _TEXT, "label": _TEXT, "tx": _POINT, "irs": _POINT},
     "panel": {"element_length_m": _FLOAT, "element_width_m": _FLOAT, "tx_side_elements": _INT,
               "rx_side_elements": _INT, "reflection_coefficient": _FLOAT,
               "tx_gain_dbi": _FLOAT, "rx_gain_dbi": _FLOAT, "theta_t": _FLOAT,
@@ -202,18 +206,91 @@ def parse_scenario(text: str, *, source: str = "<string>") -> Tuple[Scenario, Sw
         raise ConfigError(
             f"fading.seed = {fading['seed']} differs from sweep.seed = {spec.seed}; "
             "the sweep seed drives every draw, so drop fading.seed or make them equal")
-    try:
-        scenario = Scenario(
-            channel=params,
-            fading=FadingModel(seed=spec.seed, **fading.optional(mode="mode")),
-            interference=interference,
-            tx=geometry["tx"],
-            panel=_panel(document["panel"]) if "panel" in document else None,
-            irs=geometry.get("irs"),
-            **channel.optional(conventional_model="model"),
-            **geometry.optional(label="label", rx_direction="rx_direction"),
-        )
-    except InvalidInputError as exc:
-        # rx_direction is the one value Scenario checks beyond what _read parsed
-        raise ConfigError(f"geometry.{exc}") from None
+    scenario = Scenario(
+        channel=params,
+        fading=FadingModel(seed=spec.seed, **fading.optional(mode="mode")),
+        interference=interference,
+        tx=geometry["tx"],
+        panel=_panel(document["panel"]) if "panel" in document else None,
+        irs=geometry.get("irs"),
+        **channel.optional(conventional_model="model"),
+        **geometry.optional(label="label"),
+    )
     return scenario, spec
+
+
+_DEFAULT_ASSUMPTIONS = (
+    "cell radius assumed 100 m",
+    "carrier 28 GHz, tx power 30 dBm, path-loss exponent 2",
+    "noise floor k*T*B at 290 K over 100 MHz",
+    "constant interference -100 dBm",
+    "IRS sweeps vary the reflector-to-receiver leg along a fixed ray; "
+    "the transmitter-to-reflector leg and both angles stay fixed",
+)
+
+# the transmitter 10 m up at the centre of the cell; receivers out to its edge
+_DOCUMENT = """\
+[channel]
+frequency_hz = 28e9
+tx_power_dbm = 30
+path_loss_exponent = 2
+noise_bandwidth_hz = 100e6
+interference_dbm = -100
+
+[sweep]
+start = 5
+stop = 100
+steps = 96
+
+[geometry]
+label = {name}
+tx = 0 0 10
+"""
+
+# ends [geometry] with the reflector, on the deployment axis at the transmitter's height
+_PANEL = """\
+irs = {} 0 10
+
+[panel]
+element_length_m = 0.005
+element_width_m = 0.005
+tx_side_elements = 100
+rx_side_elements = 100
+reflection_coefficient = 0.9
+tx_gain_dbi = 10
+rx_gain_dbi = 10
+theta_t = {}
+theta_r = {}
+"""
+
+# name -> (description, (IRS x, theta_t, theta_r) or None for the direct link,
+#          assumptions beyond the defaults)
+_PRESETS = {
+    "fig1": ("conventional downlink, SINR vs tx-rx distance", None, ()),
+    "fig2a": ("IRS-assisted, theta_t=45 theta_r=45, SINR vs distance", (50, 45, 45), ()),
+    "fig2b": ("IRS-assisted, theta_t=60 theta_r=60, SINR vs distance", (50, 60, 60), ()),
+    "fig2c": ("IRS-assisted, theta_t=45 theta_r=60, SINR vs distance", (50, 45, 60), ()),
+    # "50 m away from the cell edge", read as 50 m beyond the edge along the
+    # deployment axis (the mid-cell placement already sits 50 m inside it)
+    "fig2d": ("IRS-assisted, theta_t=60 theta_r=60, IRS 50 m past the cell edge", (150, 60, 60),
+              ("IRS placed 50 m beyond the cell edge on the deployment axis",)),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+PRESET_DESCRIPTIONS = {name: preset[0] for name, preset in _PRESETS.items()}
+
+
+def _preset_text(name: str) -> str:
+    """The config document of a named preset."""
+    if name not in _PRESETS:
+        raise InvalidInputError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    panel = _PRESETS[name][1]
+    return _DOCUMENT.format(name=name) + ("" if panel is None else _PANEL.format(*panel))
+
+
+def build_preset(name: str) -> Tuple[Scenario, SweepSpec]:
+    """Scenario and sweep grid for a named built-in experiment."""
+    scenario, spec = parse_scenario(_preset_text(name), source=f"preset {name}")
+    assumptions = _DEFAULT_ASSUMPTIONS + _PRESETS[name][2]
+    return dataclasses.replace(scenario, assumptions=assumptions), spec

@@ -28,9 +28,11 @@ once and not copied again, and :func:`emit_results` writes it in one call:
   peaks at about its pieces plus their join; a cache of every column read
   would hold a token object per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
-  the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
-  quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or line
-  break is written as it is.
+  the values formatted ``%.6f``. Every row must hold four values, so a ragged
+  result raises ``ValueError`` instead of shifting its values across rows. The
+  label is quoted the way ``csv.writer`` quotes a field under
+  ``QUOTE_MINIMAL``; a label without a comma, quote or line break is written as
+  it is.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_rows(result: SweepResult) -> str:
+    if not {4}.issuperset(map(len, result.rows)):
+        raise ValueError(f"every row of {result.scenario_label!r} must hold four values")
     row = _csv_field(result.scenario_label).replace("%", "%%") + ",%.6f,%.6f,%.6f,%.6f"
     return "\n".join([row] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
 

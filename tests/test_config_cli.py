@@ -1,7 +1,9 @@
 """Config parsing, result emission, and CLI behavior."""
 
+import configparser
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -32,7 +34,7 @@ from irssim import (
     thermal_noise_watts,
 )
 from irssim.channel import ConventionalModel, FadingMode, ratio_from_db
-from irssim import presets
+from irssim import config
 from irssim.cli import main
 from irssim.output import CSV_HEADER, render_results
 
@@ -172,9 +174,9 @@ class TestParseScenario:
         ("[sweep]\nstart = 5\nstop = 100\nsteps = 20\ntrials = 10\nseed = 42\n", "",
          "missing required section [sweep]"),
         ("tx = 0 0 10", "tx = 0 0", "geometry.tx must be three finite numbers 'x y z', got '0 0'"),
-        # Scenario's own message, prefixed with the section by parse_scenario
+        # a config cannot model an interferer, so the receivers' ray changes no run
         ("irs = 50 0 10", "irs = 50 0 10\nrx_direction = 0 0 0",
-         "geometry.rx_direction must be nonzero with a finite norm, got (0.0, 0.0, 0.0)"),
+         "unknown key geometry.rx_direction; [geometry] accepts mode, label, tx, irs"),
         ("steps = 20", "steps 20",
          "malformed configuration: Source contains parsing errors: '<string>' [line 31]: "
          "'steps 20\\n'"),
@@ -307,10 +309,7 @@ def configs(draw):
                "model": draw(optional(st.sampled_from(ConventionalModel)))}
     noise_key = draw(st.sampled_from(["noise_dbm", "noise_bandwidth_hz"]))
     channel[noise_key] = draw(finite if noise_key == "noise_dbm" else positive)
-    direction = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(
-        lambda v: tuple(map(float, v))))
-    geometry = {"tx": draw(points), "irs": draw(optional(points)), "label": draw(optional(labels)),
-                "rx_direction": draw(optional(st.just(direction)))}
+    geometry = {"tx": draw(points), "irs": draw(optional(points)), "label": draw(optional(labels))}
     geometry["mode"] = draw(optional(st.just("conventional" if geometry["irs"] is None
                                              else "irs")))
     panel = None if geometry["irs"] is None else {
@@ -368,7 +367,7 @@ def configs(draw):
             theta_t=panel["theta_t"], theta_r=panel["theta_r"]),
         irs=None if geometry["irs"] is None else Point3(*geometry["irs"]),
         **present(channel, conventional_model="model"),
-        **present(geometry, label="label", rx_direction="rx_direction"),
+        **present(geometry, label="label"),
     )
     return text, scenario, spec
 
@@ -378,6 +377,73 @@ def configs(draw):
 def test_config_round_trip(case):
     text, scenario, spec = case
     assert parse_scenario(text) == (scenario, spec)
+
+
+# A second value for every config key: each must change the JSON of the fig1
+# or the fig2b document below (a document may reject it instead).
+SECOND_VALUES = {
+    "channel.frequency_hz": "3.5e9", "channel.tx_power_dbm": "20",
+    "channel.path_loss_exponent": "3", "channel.noise_dbm": "-80",
+    "channel.noise_bandwidth_hz": "20e6", "channel.interference_dbm": "-80",
+    "channel.model": "friis",
+    "geometry.label": "other", "geometry.tx": "0 0 20", "geometry.irs": "60 0 10",
+    "panel.element_length_m": "0.01", "panel.element_width_m": "0.01",
+    "panel.tx_side_elements": "50", "panel.rx_side_elements": "50",
+    "panel.reflection_coefficient": "0.5", "panel.tx_gain_dbi": "5", "panel.rx_gain_dbi": "5",
+    "panel.theta_t": "30", "panel.theta_r": "30",
+    "fading.mode": "deterministic",
+    "sweep.start": "10", "sweep.stop": "50", "sweep.steps": "5", "sweep.trials": "4",
+    "sweep.seed": "7",
+}
+# Keys that restate what other keys already fix: document -> (agreeing, disagreeing)
+REDUNDANT_VALUES = {
+    "geometry.mode": {"fig1": ("conventional", "irs"), "fig2b": ("irs", "conventional")},
+    "fading.seed": {"fig1": ("0", "7"), "fig2b": ("0", "7")},
+}
+# channel noise takes exactly one of these two keys
+NOISE_KEYS = {"noise_dbm", "noise_bandwidth_hz"}
+
+
+def key_document(name, key=None, value=None):
+    """A preset document, Rayleigh on a 4-step 3-trial grid, with ``key`` set to ``value``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(config._preset_text(name))
+    parser["sweep"].update(steps="4", trials="3")
+    parser["fading"] = {"mode": "rayleigh"}
+    if key is not None:
+        section, option = key.split(".")
+        if option in NOISE_KEYS:
+            parser.remove_option(section, next(iter(NOISE_KEYS - {option})))
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][option] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+def key_document_json(text):
+    return render_results([run_distance_sweep(*parse_scenario(text))], "json")
+
+
+@pytest.mark.parametrize("key", [f"{section}.{option}" for section, kinds in config._KEYS.items()
+                                 for option in kinds])
+def test_every_key_changes_the_result_or_is_rejected(key):
+    documents = {name: key_document_json(key_document(name)) for name in ("fig1", "fig2b")}
+    if key in REDUNDANT_VALUES:
+        for name, (agreeing, disagreeing) in REDUNDANT_VALUES[key].items():
+            assert key_document_json(key_document(name, key, agreeing)) == documents[name]
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_scenario(key_document(name, key, disagreeing))
+        return
+    changed = []
+    for name, unchanged in documents.items():
+        try:
+            changed.append(key_document_json(key_document(name, key, SECOND_VALUES[key]))
+                           != unchanged)
+        except ConfigError:
+            pass
+    assert any(changed), key
 
 
 # Each preset built directly in Python, without a config document: the
@@ -435,7 +501,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_text_runs_as_a_config(self, name, tmp_path, capsys):
         path = tmp_path / f"{name}.ini"
-        path.write_text(presets._text(name), encoding="utf-8")
+        path.write_text(config._preset_text(name), encoding="utf-8")
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
         assert main(["sweep", "--config", str(path)]) == 0

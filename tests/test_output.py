@@ -23,8 +23,8 @@ from irssim import (FadingModel, SweepResult, SweepRow, build_preset, run_angle_
                     run_distance_sweep)
 from irssim import output
 from irssim.channel import FadingMode
+from irssim.config import PRESET_NAMES
 from irssim.output import CSV_HEADER, emit_results, render_results
-from irssim.presets import PRESET_NAMES
 
 CSV_SPECIAL = ',"\r\n'
 
@@ -282,6 +282,8 @@ RAGGED_ROWS = {
     "five wide": ((1.0, 2.0, 3.0, 4.0, 5.0),),
     "four then five wide": ((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0, 9.0)),
     "five then four wide": ((1.0, 2.0, 3.0, 4.0, 5.0), (6.0, 7.0, 8.0, 9.0)),
+    # eight values, as many as two 4-wide rows hold
+    "three then five wide": ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0, 8.0)),
 }
 
 
