@@ -152,11 +152,25 @@ class FadingModel:
 def watts_to_dbm(watts: float) -> float:
     if not (watts > 0):
         raise InvalidInputError(f"power must be > 0 W for dBm conversion, got {watts!r}")
-    milliwatts = watts / 1e-3
-    if milliwatts < math.inf:
-        return 10.0 * math.log10(milliwatts)
+    return _watts_to_dbm_array(np.array([watts], dtype=float)).item()
+
+
+def _watts_to_dbm_array(watts: np.ndarray) -> np.ndarray:
+    """10*log10(watts / 1 mW) of each power (every one > 0 W), in a new array.
+
+    The logarithm is the scalar ``math.log10`` of each value: ``np.log10``
+    can differ from it in the last bit.
+    """
+    with np.errstate(over="ignore"):
+        milliwatts = watts / 1e-3
+    dbm = np.fromiter(map(math.log10, milliwatts.ravel().tolist()), float, milliwatts.size)
+    dbm = dbm.reshape(watts.shape)
     # a finite power above about 1.8e305 W overflows in milliwatts
-    return 10.0 * (math.log10(watts) + 3.0)
+    over = milliwatts == math.inf
+    if over.any():
+        dbm[over] = np.fromiter(map(math.log10, watts[over].tolist()), float) + 3.0
+    dbm *= 10.0
+    return dbm
 
 
 def dbm_to_watts(dbm: float) -> float:

@@ -1,9 +1,12 @@
 """Result emission as plot-ready CSV or JSON.
 
-Both formats are pinned byte for byte, and both are rendered with one ``%``
-template per result instead of per-row Python work. Each document is then
-assembled from its pieces by one ``str.join``, so the finished text is built
-once and not copied again, and :func:`emit_results` writes it in one call:
+Both formats are pinned byte for byte, and both read each result's stored
+columns (:attr:`SweepResult.columns`, four of one length, as the result
+checks when it is built) with no transposition and no per-row Python work:
+one ``%`` template per result takes the values row by row from
+``zip(*columns)``. Each document is then assembled from its pieces by one
+``str.join``, so the finished text is built once and not copied again, and
+:func:`emit_results` writes it in one call:
 
 * JSON is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the list of
   ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` writes
@@ -11,28 +14,24 @@ once and not copied again, and :func:`emit_results` writes it in one call:
   array is spliced in at the one place it can sit: ``"rows"`` is the last key
   of its object, so ``"rows": 0`` is followed by a newline and the two-space
   ``}`` that closes that object, a text no string token (which never holds a
-  raw newline) and no deeper object can contain. Row values must be JSON
-  scalars (numbers, booleans, ``None`` or strings), four to a row: each
-  result is transposed into columns strictly, so a ragged row raises. Each
-  column is encoded by a compact ``json.dumps`` call with a newline as item
-  separator, each token exactly as ``indent=2`` writes it (``NaN`` and
-  ``Infinity`` included), and a newline never occurs inside a token, so
-  splitting on it recovers one token per value. A column that repeats the
-  same column of the previous result bit for bit (every value exactly a
-  ``float`` and the two columns' IEEE 754 bytes equal, so ``-0.0`` against
-  ``0.0``, ``1`` or ``True`` against ``1.0`` and two NaN objects never match)
-  takes that result's tokens instead: the five figure curves share their
-  distance grid and, with one seed and one noise floor, their SINR stddev
-  column. Only the previous result's columns and tokens are kept, and its
-  tokens are freed before the next result's are encoded, so a document still
-  peaks at about its pieces plus their join; a cache of every column read
-  would hold a token object per value.
+  raw newline) and no deeper object can contain. Column values must be JSON
+  scalars (numbers, booleans, ``None`` or strings). Each column is encoded by
+  a compact ``json.dumps`` call with a newline as item separator, each token
+  exactly as ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a
+  newline never occurs inside a token, so splitting on it recovers one token
+  per value. A column that repeats the same column of the previous result
+  bit for bit (every value exactly a ``float`` and the two columns' IEEE 754
+  bytes equal, so ``-0.0`` against ``0.0``, ``1`` or ``True`` against ``1.0``
+  and two NaN objects never match) takes that result's tokens instead: the
+  five figure curves share their distance grid and, with one seed and one
+  noise floor, their SINR stddev column. Only the previous result's columns
+  and tokens are kept, and its tokens are freed before the next result's are
+  encoded, so a document still peaks at about its pieces plus their join; a
+  cache of every column read would hold a token object per value.
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
-  the values formatted ``%.6f``. Every row must hold four values, so a ragged
-  result raises ``ValueError`` instead of shifting its values across rows. The
-  label is quoted the way ``csv.writer`` quotes a field under
-  ``QUOTE_MINIMAL``; a label without a comma, quote or line break is written as
-  it is.
+  the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
+  quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or
+  line break is written as it is.
 """
 
 from __future__ import annotations
@@ -62,15 +61,15 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_rows(result: SweepResult) -> str:
-    if not {4}.issuperset(map(len, result.rows)):
-        raise ValueError(f"every row of {result.scenario_label!r} must hold four values")
+    columns = result.columns
     row = _csv_field(result.scenario_label).replace("%", "%%") + ",%.6f,%.6f,%.6f,%.6f"
-    return "\n".join([row] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
+    return "\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _encode(values) -> list:
+def _encode(column: tuple) -> list:
     """The JSON token of each value, from one compact ``json.dumps`` call."""
-    return json.dumps(tuple(values), separators=("\n", ":"))[1:-1].split("\n")
+    text = json.dumps(column, separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
 
 
 def _same_bits(column: tuple, previous: tuple) -> bool:
@@ -88,14 +87,14 @@ def _json_rows(results: Iterable[SweepResult]) -> Iterator[str]:
     """
     columns, tokens = (), []
     for result in results:
-        rows = result.rows
-        previous, columns = columns, tuple(zip(*rows, strict=True))
-        reused = [tokens[j] if j < len(previous) and _same_bits(column, previous[j]) else None
+        previous, columns = columns, result.columns
+        reused = [tokens[j] if previous and _same_bits(column, previous[j]) else None
                   for j, column in enumerate(columns)]
         del tokens  # the previous result's tokens go before this result's are made
         tokens = [_encode(column) if same is None else same
                   for column, same in zip(columns, reused)]
-        template = "[\n" + ",\n".join([_JSON_ROW] * len(rows)) + "\n    ]" if rows else "[]"
+        count = len(columns[0])
+        template = "[\n" + ",\n".join([_JSON_ROW] * count) + "\n    ]" if count else "[]"
         yield template % tuple(chain.from_iterable(zip(*tokens)))
 
 
@@ -104,7 +103,7 @@ def render_results(results: Iterable[SweepResult], fmt: str) -> str:
     if not results:
         raise InvalidInputError("no results to emit")
     if fmt == "csv":
-        blocks = [_csv_rows(result) for result in results if result.rows]
+        blocks = [_csv_rows(result) for result in results if result.columns[0]]
         return "\n".join([CSV_HEADER, *blocks, ""])
     if fmt == "json":
         payload = [{"label": result.scenario_label, "variable": result.variable_name,

@@ -29,6 +29,7 @@ serially.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
 import os
@@ -49,10 +50,10 @@ from irssim.channel import (
     _integer,
     _real,
     _seed,
+    _watts_to_dbm_array,
     conventional_rx_power,
     irs_rx_power,
     sample_fading_block,
-    watts_to_dbm,
 )
 from irssim.errors import DegenerateGeometryError, InvalidInputError
 from irssim.geometry import Point3, distance
@@ -180,10 +181,61 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One curve as four columns, in :class:`SweepRow` field order: the swept
+    variable, rx power (dBm), mean SINR (dB) and SINR stddev (dB).
+
+    Each column is stored as a tuple (a tuple given is kept as it is); there
+    must be exactly four, all of one length, or InvalidInputError is raised.
+    """
+
     scenario_label: str
     variable_name: str
-    rows: Tuple[SweepRow, ...]
+    columns: Tuple[tuple, tuple, tuple, tuple]
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        columns = tuple(map(tuple, self.columns))
+        if len(columns) != 4 or len(set(map(len, columns))) != 1:
+            raise InvalidInputError(
+                f"{self.scenario_label!r} must hold four columns of one length,"
+                f" got lengths {[len(column) for column in columns]}")
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def rows(self) -> Sequence[SweepRow]:
+        """The grid points as :class:`SweepRow` tuples: a read-only view of the columns."""
+        return _Rows(self.columns)
+
+
+class _Rows(collections.abc.Sequence):
+    """The rows of a result's columns, each built as a :class:`SweepRow` when it is
+    read; the length is the columns' own, so taking it builds no row. Equal to a
+    tuple, or another view, of the same rows."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Tuple[tuple, ...]) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return tuple.__new__(SweepRow, [column[index] for column in self._columns])
+
+    def __iter__(self):
+        # tuple.__new__ makes each row in C, as compare_placement makes its entries
+        return map(tuple.__new__, repeat(SweepRow), zip(*self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -461,17 +513,17 @@ def _sweeps(
 
     stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
                       spec.trials, spec.seed, where=where, panels=panels)
-    stddev = stats.sinr_db_stddev.tolist()
-    # tuple.__new__ makes each row in C, as compare_placement makes its entries
+    # the curves share one grid tuple and one stddev tuple
+    grid, stddev = tuple(grid), tuple(stats.sinr_db_stddev.tolist())
     return [
         SweepResult(
             scenario_label=label,
             variable_name="distance_m",
-            rows=tuple(map(tuple.__new__, repeat(SweepRow), zip(
-                grid, map(watts_to_dbm, power.tolist()), sinr_db.tolist(), stddev))),
+            columns=(grid, tuple(rx_power_dbm), tuple(sinr_db), stddev),
             metadata=_base_metadata(scenario, spec),
         )
-        for label, power, sinr_db in zip(labels, stats.power, stats.sinr_db)]
+        for label, rx_power_dbm, sinr_db in zip(
+            labels, _watts_to_dbm_array(stats.power).tolist(), stats.sinr_db.tolist())]
 
 
 def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:

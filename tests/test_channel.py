@@ -2,10 +2,11 @@
 
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from irssim import (
     ChannelParams,
@@ -24,6 +25,7 @@ from irssim import (
     watts_to_dbm,
 )
 from irssim.channel import _HASH_BLOCK as BLOCK
+from irssim.channel import _watts_to_dbm_array
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
@@ -101,6 +103,29 @@ class TestPowerConversion:
     @pytest.mark.parametrize("watts", [1e-3, 2.5e-7, 1.7e305, 1.7976931348623157e305])
     def test_unchanged_where_milliwatts_are_finite(self, watts):
         assert watts_to_dbm(watts) == 10.0 * math.log10(watts / 1e-3)
+
+    @given(st.lists(st.one_of(
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True),
+        st.floats(min_value=1e-15, max_value=1e3),  # link-budget powers
+        st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-3, 1.7976931348623157e305,
+                         1.8e305, 1.04e308, 1.7976931348623157e308])), min_size=1, max_size=64))
+    @example(np.geomspace(1e-15, 1e3, 4001).tolist())
+    def test_array_matches_the_scalar_bit_for_bit(self, watts):
+        """The sweep's (R, P) dBm conversion is watts_to_dbm of each value, and both
+        are the scalar formula: subnormal powers, 1 mW, and powers whose milliwatts
+        overflow, which take the 10*(log10(W) + 3) branch."""
+        def formula(w):
+            milliwatts = w / 1e-3
+            if milliwatts < math.inf:
+                return 10.0 * math.log10(milliwatts)
+            return 10.0 * (math.log10(w) + 3.0)
+
+        expected = array("d", map(formula, watts)).tobytes()
+        assert array("d", map(watts_to_dbm, watts)).tobytes() == expected
+        for shape in ((-1,), (1, -1), (-1, 1)):
+            dbm = _watts_to_dbm_array(np.array(watts).reshape(shape))
+            assert dbm.shape == np.array(watts).reshape(shape).shape
+            assert array("d", dbm.ravel().tolist()).tobytes() == expected
 
 
 class TestFading:

@@ -9,6 +9,7 @@ metadata text, and whichever columns repeat from one result to the next.
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -19,8 +20,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irssim import (FadingModel, SweepResult, SweepRow, build_preset, run_angle_sweep,
-                    run_distance_sweep)
+from irssim import (FadingModel, InvalidInputError, SweepResult, SweepRow, build_preset,
+                    run_angle_sweep, run_distance_sweep)
 from irssim import output
 from irssim.channel import FadingMode
 from irssim.config import PRESET_NAMES
@@ -81,11 +82,16 @@ metadata = st.one_of(
               st.integers(0, 2 ** 64 - 1), st.lists(texts, max_size=3)))
 
 
+def columns_of(rows):
+    """The four columns of a sequence of 4-value rows."""
+    return tuple(tuple(row[j] for row in rows) for j in range(4))
+
+
 def results_of(row_values, labels=texts):
-    rows = st.builds(SweepRow, row_values, row_values, row_values, row_values)
+    rows = st.tuples(row_values, row_values, row_values, row_values)
     result = st.builds(
         SweepResult, scenario_label=labels, variable_name=texts,
-        rows=st.one_of(st.just(()), st.tuples(rows), st.lists(rows, max_size=6).map(tuple)),
+        columns=st.one_of(st.just(()), st.tuples(rows), st.lists(rows, max_size=6)).map(columns_of),
         metadata=metadata)
     return st.lists(result, min_size=1, max_size=4)
 
@@ -121,23 +127,23 @@ def test_csv_reads_back_as_five_fields_with_the_label(results):
 
 @given(texts)
 def test_csv_label_quoted_as_csv_writer_quotes_it(label):
-    row = SweepRow(1.0, 2.0, 3.0, 4.0)
-    text = render_results([SweepResult(label, "distance_m", (row,))], "csv")
+    columns = ((1.0,), (2.0,), (3.0,), (4.0,))
+    text = render_results([SweepResult(label, "distance_m", columns)], "csv")
     body = text[len(CSV_HEADER) + 1:]
     assert body == csv_label(label) + ",1.000000,2.000000,3.000000,4.000000\n"
 
 
 def test_json_keeps_integer_and_non_finite_values():
-    rows = (SweepRow(1, 2.5, math.nan, -math.inf), SweepRow(2.0, True, 3.0, math.inf))
-    result = SweepResult("mixed", "distance_m", rows, {"note": math.nan})
+    columns = ((1, 2.0), (2.5, True), (math.nan, 3.0), (-math.inf, math.inf))
+    result = SweepResult("mixed", "distance_m", columns, {"note": math.nan})
     text = render_results([result], "json")
     assert text == json_oracle([result])
     assert "NaN" in text and "-Infinity" in text and "true" in text
 
 
 def test_empty_rows_render_as_the_oracle_does():
-    empty = SweepResult("empty", "distance_m", ())
-    one = SweepResult("one", "distance_m", (SweepRow(1.0, 2.0, 3.0, 4.0),))
+    empty = SweepResult("empty", "distance_m", ((),) * 4)
+    one = SweepResult("one", "distance_m", ((1.0,), (2.0,), (3.0,), (4.0,)))
     for results in ([empty], [empty, one], [one, empty, one]):
         assert render_results(results, "json") == json_oracle(results)
         assert render_results(results, "csv") == csv_oracle(results)
@@ -185,18 +191,20 @@ TWEAKS = {
 
 @st.composite
 def repeating_results(draw):
-    """Results whose columns are the previous result's, as they are or changed slightly."""
+    """Results whose columns are the previous result's, the same tuples, copies of
+    them or changed slightly."""
     value = st.one_of(st.sampled_from(NEAR_VALUES), st.floats())
     rows = draw(st.integers(0, 4))
-    columns = [[draw(value) for _ in range(rows)] for _ in range(4)]
+    columns = [tuple(draw(value) for _ in range(rows)) for _ in range(4)]
     results = []
     for _ in range(draw(st.integers(1, 6))):
-        edit = draw(st.sampled_from(["copy", "copy", "rebuilt", "tweak", "tweak",
+        edit = draw(st.sampled_from(["same", "copy", "copy", "rebuilt", "tweak", "tweak",
                                      "drop row", "add row", "empty"]))
         if edit == "empty":
-            results.append(SweepResult("empty", "distance_m", ()))
+            results.append(SweepResult("empty", "distance_m", ((),) * 4))
             continue
-        columns = [list(column) for column in columns]
+        if edit != "same":
+            columns = [list(column) for column in columns]
         if edit == "rebuilt":  # the same bits in new float objects
             columns = [array("d", c).tolist() if all(type(v) is float for v in c) else c
                        for c in columns]
@@ -207,7 +215,8 @@ def repeating_results(draw):
             columns = [column[:-1] for column in columns]
         elif edit == "add row":
             columns = [column + [draw(value)] for column in columns]
-        results.append(SweepResult("r", "distance_m", tuple(map(SweepRow._make, zip(*columns)))))
+        columns = [tuple(column) for column in columns]  # a tuple is kept as it is
+        results.append(SweepResult("r", "distance_m", columns))
     return results
 
 
@@ -278,24 +287,74 @@ def test_results_are_read_once(angle_sweeps, fmt):
     assert buffer.getvalue() == expected
 
 
+def test_columns_are_stored_as_tuples_and_read_as_rows():
+    grid = (1.0, 2.0)
+    result = SweepResult("r", "distance_m", [grid, [3.0, 4.0], iter([5.0, 6.0]), (7, 8)])
+    assert result.columns == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7, 8))
+    assert result.columns[0] is grid
+    rows = (SweepRow(1.0, 3.0, 5.0, 7), SweepRow(2.0, 4.0, 6.0, 8))
+    assert result.rows == rows and rows == result.rows and len(result.rows) == 2
+    assert [result.rows[0], result.rows[-1]] == list(result.rows) == list(rows)
+    assert result.rows[:1] == rows[:1]
+    assert all(type(row) is SweepRow for row in result.rows)
+    assert result.rows != rows[:1] and result.rows != list(rows)
+    with pytest.raises(IndexError):
+        result.rows[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.rows = ()
+
+
+# the columns of ragged rows: column j holds the j-th value of each row that has one
 RAGGED_ROWS = {
-    "five wide": ((1.0, 2.0, 3.0, 4.0, 5.0),),
-    "four then five wide": ((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0, 9.0)),
-    "five then four wide": ((1.0, 2.0, 3.0, 4.0, 5.0), (6.0, 7.0, 8.0, 9.0)),
+    "five wide": ((1.0,), (2.0,), (3.0,), (4.0,), (5.0,)),
+    "four then five wide": ((1.0, 5.0), (2.0, 6.0), (3.0, 7.0), (4.0, 8.0), (9.0,)),
+    "five then four wide": ((1.0, 6.0), (2.0, 7.0), (3.0, 8.0), (4.0, 9.0), (5.0,)),
     # eight values, as many as two 4-wide rows hold
-    "three then five wide": ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0, 8.0)),
+    "three then five wide": ((1.0, 4.0), (2.0, 5.0), (3.0, 6.0), (7.0,), (8.0,)),
+    "four columns of unequal length": ((1.0, 5.0), (2.0, 6.0), (3.0, 7.0), (4.0,)),
+    # eight values again, in four columns
+    "four columns of 3, 1, 2 and 2": ((1.0, 2.0, 3.0), (4.0,), (5.0, 6.0), (7.0, 8.0)),
+    "three columns": ((1.0,), (2.0,), (3.0,)),
+    "no columns": (),
 }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", RAGGED_ROWS.values(), ids=RAGGED_ROWS)
-def test_rows_not_four_wide_are_rejected(rows, fmt, tmp_path):
-    """Neither format drops or shifts a value, even where the result before repeats
-    the ragged result's first four columns, and nothing is written."""
-    good = SweepResult("good", "distance_m", (SweepRow(1.0, 2.0, 3.0, 4.0),) * len(rows))
-    results = [good, SweepResult("ragged", "distance_m", rows)]
+@pytest.mark.parametrize("columns", RAGGED_ROWS.values(), ids=RAGGED_ROWS)
+def test_rows_not_four_wide_are_rejected(columns, fmt, tmp_path):
+    """A result must hold four columns of one length, so neither format can drop or
+    shift a value, even after a result whose columns start as the ragged result's
+    do; and nothing is written."""
+    good = SweepResult("good", "distance_m", tuple(column[:1] for column in columns[:4])
+                       if len(columns) >= 4 else ((1.0,),) * 4)
     buffer, path = io.StringIO(), tmp_path / "out"
     for destination in (buffer, path):
-        with pytest.raises((TypeError, ValueError)):
-            emit_results(results, fmt, destination)
+        with pytest.raises(InvalidInputError, match="must hold four columns of one length"):
+            emit_results([good, SweepResult("ragged", "distance_m", columns)], fmt, destination)
     assert buffer.getvalue() == "" and not path.exists()
+
+
+def test_sweep_and_render_start_no_cyclic_collection():
+    """A 1600-step Rayleigh sweep and its CSV and JSON documents hold their values
+    in a few column tuples, so they allocate too few container objects to start
+    the cyclic garbage collector."""
+    scenario, spec = build_preset("fig2b")
+    scenario = dataclasses.replace(
+        scenario, fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+    spec = dataclasses.replace(spec, steps=1600, trials=10, seed=1)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        result = run_distance_sweep(scenario, spec)
+        render_results([result], "csv")
+        render_results([result], "json")
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []

@@ -36,6 +36,7 @@ FIELDS = {
     irssim.InterfererSet: ["constant_power", "interferers"],
     irssim.Scenario: ["channel", "fading", "interference", "tx", "panel", "irs", "rx_direction",
                       "conventional_model", "label", "assumptions"],
+    irssim.SweepResult: ["scenario_label", "variable_name", "columns", "metadata"],
 }
 
 
