@@ -68,6 +68,8 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # interferer draws live in their own half of the stream space, so they can
 # never collide with the signal draws p*T + t
 _INTERFERENCE_STREAM_BASE = 1 << 62
+# the direction of every sweep's ray of receivers
+_X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,10 @@ class Scenario:
     """A fully specified downlink to sweep: IRS-assisted when it carries a
     panel and an IRS position, conventional when it carries neither.
 
-    Receivers lie on a ray in direction ``rx_direction`` that starts at the
-    reflector, or at the transmitter on a conventional link. Every field is
-    checked for its type; ``assumptions`` may be any sequence of strings
-    other than a string, and is stored as a tuple.
+    A sweep's receivers lie on the +x ray from the reflector, or from the
+    transmitter on a conventional link. Every field is checked for its type;
+    ``assumptions`` may be any sequence of strings other than a string, and
+    is stored as a tuple.
     """
 
     channel: ChannelParams
@@ -87,7 +89,6 @@ class Scenario:
     tx: Point3
     panel: Optional[IrsPanel] = None
     irs: Optional[Point3] = None
-    rx_direction: Tuple[float, float, float] = (1.0, 0.0, 0.0)
     conventional_model: ConventionalModel = ConventionalModel.PAPER
     label: str = "scenario"
     assumptions: Tuple[str, ...] = ()
@@ -112,24 +113,6 @@ class Scenario:
             raise InvalidInputError(
                 f"assumptions must be a sequence of strings, got {assumptions!r}")
         object.__setattr__(self, "assumptions", tuple(assumptions))
-        direction = self.rx_direction
-        if not (isinstance(direction, (Sequence, np.ndarray)) and len(direction) == 3):
-            raise InvalidInputError(f"rx_direction must have 3 components, got {direction!r}")
-        # the components as given, in a tuple, so that the frozen scenario hashes
-        object.__setattr__(self, "rx_direction", tuple(direction))
-        if not all(math.isfinite(_real("rx_direction component", c)) for c in direction):
-            raise InvalidInputError(f"rx_direction must be finite, got {direction!r}")
-        norm = math.sqrt(sum(c * c for c in direction))
-        if not (norm > 0 and math.isfinite(norm)):
-            raise InvalidInputError(
-                f"rx_direction must be nonzero with a finite norm, got {direction!r}")
-
-    def receivers_at(self, xs: Sequence[float]) -> np.ndarray:
-        """Receiver positions, shape (len(xs), 3), at swept distances xs along the ray."""
-        origin = self.tx if self.irs is None else self.irs
-        norm = math.sqrt(sum(c * c for c in self.rx_direction))
-        unit = np.array([c / norm for c in self.rx_direction])
-        return _as_array([origin]) + np.asarray(xs, dtype=float)[:, None] * unit
 
 
 def _check_trials_and_seed(trials: int, seed: int) -> Tuple[int, int]:
@@ -511,8 +494,10 @@ def _sweeps(
         of = f" of {labels[k]!r}" if k is not None and len(panels) > 1 else ""
         return f"sweep point x={grid[p]!r}{of}"
 
-    stats = _evaluate(scenario, _irs_of(scenario), scenario.receivers_at(grid),
-                      spec.trials, spec.seed, where=where, panels=panels)
+    irs = _irs_of(scenario)
+    origin = _as_array([scenario.tx]) if irs is None else irs
+    rx = origin + np.asarray(grid)[:, None] * _X_AXIS
+    stats = _evaluate(scenario, irs, rx, spec.trials, spec.seed, where=where, panels=panels)
     # the curves share one grid tuple and one stddev tuple
     grid, stddev = tuple(grid), tuple(stats.sinr_db_stddev.tolist())
     return [
@@ -597,11 +582,12 @@ def compare_placement(
     """
     if scenario.irs is None:
         raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
-    if not irs_positions or not rx_positions:
+    irs = _as_array(irs_positions, "irs_positions entry")
+    rx = _as_array(rx_positions, "rx_positions entry")
+    if not (len(irs) and len(rx)):
         raise InvalidInputError("placement comparison needs >= 1 IRS and >= 1 rx position")
     stats = _evaluate(
-        scenario, _as_array(irs_positions, "irs_positions entry"),
-        _as_array(rx_positions, "rx_positions entry"), spec.trials, spec.seed,
+        scenario, irs, rx, spec.trials, spec.seed,
         where=lambda k, p: "placement ({}rx={})".format(
             "" if k is None else f"irs={irs_positions[k]}, ", rx_positions[p]))
     worst = stats.sinr_db.min(axis=1)

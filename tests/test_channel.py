@@ -25,7 +25,7 @@ from irssim import (
     watts_to_dbm,
 )
 from irssim.channel import _HASH_BLOCK as BLOCK
-from irssim.channel import _watts_to_dbm_array
+from irssim.channel import _hash_block, _watts_to_dbm_array
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
@@ -190,6 +190,28 @@ class TestFading:
         # one index at a time too: the same draw wherever a hash block starts
         assert [float(sample_fading_block(model, start + i, 1)[0]).hex()
                 for i in range(len(expected))] == expected
+
+    # the first five outputs of the reference splitmix64 generator: for seed 0
+    # the first is Vigna's published first output, and seed 1234567 is the
+    # seed of the published reference sequence
+    SPLITMIX64 = {
+        0: [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+            0xF88BB8A8724C81EC, 0x1B39896A51A8749B],
+        1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                  4593380528125082431, 16408922859458223821],
+    }
+
+    @pytest.mark.parametrize("seed", list(SPLITMIX64))
+    def test_stream_index_i_is_splitmix64_output_i_plus_1(self, seed):
+        top53 = [output >> 11 for output in self.SPLITMIX64[seed]]
+        out, scratch = np.empty(len(top53)), np.empty(len(top53), dtype=np.uint64)
+        _hash_block(seed, 0, out, scratch)
+        assert out.tolist() == top53
+        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=seed)
+        for draw, bits in zip(sample_fading_block(model, 0, len(top53)).tolist(), top53):
+            expected = -math.log((bits + 0.5) * 2.0 ** -53)
+            # np.log may take another SIMD path than math.log on another host
+            assert abs(draw - expected) <= math.ulp(expected)
 
     @pytest.mark.parametrize("mode", list(FadingMode))
     @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])

@@ -34,7 +34,7 @@ DEFINED = {
 FIELDS = {
     irssim.ChannelParams: ["carrier_frequency", "tx_power", "path_loss_exponent", "noise_power"],
     irssim.InterfererSet: ["constant_power", "interferers"],
-    irssim.Scenario: ["channel", "fading", "interference", "tx", "panel", "irs", "rx_direction",
+    irssim.Scenario: ["channel", "fading", "interference", "tx", "panel", "irs",
                       "conventional_model", "label", "assumptions"],
     irssim.SweepResult: ["scenario_label", "variable_name", "columns", "metadata"],
 }
@@ -69,7 +69,8 @@ def test_sweep_row_fields():
     assert irssim.SweepRow._fields == ("x", "rx_power_dbm", "sinr_db", "sinr_db_stddev")
 
 
-@pytest.mark.parametrize("cls", [irssim.Point3, irssim.IrsPanel, irssim.FadingModel],
+@pytest.mark.parametrize("cls", [irssim.Point3, irssim.IrsPanel, irssim.FadingModel,
+                                 irssim.Scenario],
                          ids=lambda cls: cls.__name__)
 def test_value_types_have_no_public_methods(cls):
     # a field's default is a class attribute too; anything else public is a method

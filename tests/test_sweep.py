@@ -177,39 +177,6 @@ class TestScenario:
         assert scenario.assumptions == ("a", "b")
         assert hash(scenario) == hash(dataclasses.replace(scenario, assumptions=("a", "b")))
 
-    def test_zero_direction_rejected(self):
-        with pytest.raises(InvalidInputError):
-            dataclasses.replace(conventional_scenario(), rx_direction=(0.0, 0.0, 0.0))
-
-    @pytest.mark.parametrize("direction,message", [
-        (("1", 0, 0), "rx_direction component must be a real number, got '1'"),
-        ((True, 0, 0), "rx_direction component must be a real number, got True"),
-        ((1, 0), "rx_direction must have 3 components, got (1, 0)"),
-        ((1, 0, 0, 0), "rx_direction must have 3 components, got (1, 0, 0, 0)"),
-        (1.0, "rx_direction must have 3 components, got 1.0"),
-        ((math.nan, 0, 0), "rx_direction must be finite, got (nan, 0, 0)"),
-        ((0, math.inf, 0), "rx_direction must be finite, got (0, inf, 0)"),
-        ((1e200, 0, 0), "rx_direction must be nonzero with a finite norm, got (1e+200, 0, 0)"),
-    ], ids=["string", "bool", "two", "four", "scalar", "nan", "inf", "norm_overflow"])
-    def test_direction_follows_the_real_number_rule(self, direction, message):
-        with pytest.raises(InvalidInputError) as caught:
-            dataclasses.replace(conventional_scenario(), rx_direction=direction)
-        assert str(caught.value) == message
-
-    @pytest.mark.parametrize("direction", [[0, 2, 0], np.array([0.0, 2.0, 0.0]),
-                                           (np.float64(0), np.int64(2), 0.0)])
-    def test_direction_may_be_any_sequence_of_three_reals(self, direction):
-        scenario = dataclasses.replace(conventional_scenario(), rx_direction=direction)
-        np.testing.assert_array_equal(scenario.receivers_at([5.0]), [[0.0, 5.0, 10.0]])
-
-    @pytest.mark.parametrize("direction", [[0, 2, 0], np.array([0.0, 2.0, 0.0])],
-                             ids=["list", "array"])
-    def test_direction_is_stored_as_a_tuple_as_given(self, direction):
-        scenario = dataclasses.replace(conventional_scenario(), rx_direction=direction)
-        assert type(scenario.rx_direction) is tuple
-        assert scenario.rx_direction == (0, 2, 0)
-        assert hash(scenario) == hash(dataclasses.replace(scenario, rx_direction=(0, 2, 0)))
-
 
 class TestDistanceSweep:
     def test_inverse_square_in_db(self):
@@ -230,6 +197,20 @@ class TestDistanceSweep:
         result = run_distance_sweep(conventional_scenario(), spec)
         xs = [row.x for row in result.rows]
         assert xs == spec.grid()
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2b"])
+    def test_receivers_lie_on_the_x_ray_from_the_origin(self, name):
+        # an interferer off the axis makes the SINR depend on the receiver's
+        # direction from the origin, not only on its distance
+        scenario, spec = build_preset(name)
+        scenario = dataclasses.replace(scenario, interference=InterfererSet.modeled(
+            [(scenario.channel, Point3(60.0, 40.0, 10.0))]))
+        origin = scenario.tx if scenario.irs is None else scenario.irs
+        result = run_distance_sweep(scenario, spec)
+        for row in result.rows:
+            point = Point3(origin.x + row.x, origin.y, origin.z)
+            expected = monte_carlo_stats(scenario, point, 1, 0).mean_sinr_db
+            assert row.sinr_db == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("sweep", [
         lambda spec: [run_distance_sweep(irs_scenario(), spec)],
@@ -694,7 +675,9 @@ class TestComparePlacement:
          "irs_positions entry must be a Point3, got (50.0, 0.0, 10.0)"),
         ([Point3(50, 0, 10)], [Point3(70, 0, 1.5), "rx"],
          "rx_positions entry must be a Point3, got 'rx'"),
-    ], ids=["irs", "rx"])
+        (np.array([[50.0, 0.0, 10.0]]), [Point3(70, 0, 1.5)],
+         "irs_positions entry must be a Point3, got array([50.,  0., 10.])"),
+    ], ids=["irs", "rx", "irs_array"])
     def test_positions_must_be_points(self, irs, rx, message):
         with pytest.raises(InvalidInputError) as caught:
             compare_placement(irs_scenario(), irs, rx, self.spec)
@@ -830,9 +813,9 @@ def subnormal_placement(spec):
 def hot_interferer_sweep():
     """fig1 with a 1e308 W interferer 1 mm above its first grid point: infinite interference."""
     scenario, spec = build_preset("fig1")
-    x, y, z = scenario.receivers_at(spec.grid()[:1])[0].tolist()
-    hot = InterfererSet.modeled(
-        [(dataclasses.replace(scenario.channel, tx_power=1e308), Point3(x, y, z + 1e-3))])
+    tx = scenario.tx
+    hot = InterfererSet.modeled([(dataclasses.replace(scenario.channel, tx_power=1e308),
+                                  Point3(tx.x + spec.grid()[0], tx.y, tx.z + 1e-3))])
     return run_distance_sweep(dataclasses.replace(scenario, interference=hot), spec)
 
 
