@@ -203,19 +203,27 @@ _HASH_BLOCK = 1 << 15
 # i is (i + 1) * gamma + seed plus this row, modulo 2**64 as in splitmix64
 _COUNTER_STEPS = np.arange(_HASH_BLOCK, dtype=np.uint64)
 _COUNTER_STEPS *= _SM64_GAMMA
+# the step from the counter state of index i to that of i + _HASH_BLOCK
+_BLOCK_STEP = np.uint64(_HASH_BLOCK * _GAMMA % 2 ** 64)
 
 
 def _hash_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarray) -> None:
     """The top 53 bits of the splitmix64 output of stream indices start_index,
-    ... as floats in out.
+    ... as floats in out, which holds at most 2 * _HASH_BLOCK of them.
 
     Hashes the state in place in ``out``, viewed as integers, with ``scratch``
-    (at least len(out) integers) holding the shifted state.
+    (at least len(out) integers) holding the shifted state. Past the first
+    _HASH_BLOCK indices, each counter state is the one _HASH_BLOCK indices
+    earlier plus _BLOCK_STEP, so one counter table serves spans of twice its
+    length without holding twice the memory.
     """
     count = len(out)
     z = out.view(np.uint64)
     scratch = scratch[:count]
-    np.add(_COUNTER_STEPS[:count], np.uint64(((start_index + 1) * _GAMMA + seed) % 2 ** 64), z)
+    np.add(_COUNTER_STEPS[:count], np.uint64(((start_index + 1) * _GAMMA + seed) % 2 ** 64),
+           z[:_HASH_BLOCK])
+    if count > _HASH_BLOCK:
+        np.add(z[:count - _HASH_BLOCK], _BLOCK_STEP, z[_HASH_BLOCK:])
     np.right_shift(z, _SHIFT_30, scratch)
     z ^= scratch
     z *= _SM64_M1
@@ -231,7 +239,16 @@ def _hash_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarra
 
 def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
     """Fading gains for stream indices start_index .. start_index+count-1,
-    which must lie in [0, 2**64)."""
+    which must lie in [0, 2**64).
+
+    Up to _HASH_BLOCK draws are hashed in one span, with scratch of their own
+    length. More are hashed in few, long spans: the first half, up to
+    2 * _HASH_BLOCK indices, in place with the not yet hashed second half as
+    its scratch, then the rest in _HASH_BLOCK pieces with one _HASH_BLOCK of
+    scratch (100 000 draws take 3 spans). So a call holds its draws and at
+    most one _HASH_BLOCK of scratch, and each draw is the same whatever span
+    hashes it.
+    """
     start_index = _integer("start_index", start_index)
     count = _integer("count", count)
     if count < 0:
@@ -243,9 +260,17 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
     if model.mode is FadingMode.DETERMINISTIC:
         return np.ones(count)
     gains = np.empty(count)
-    scratch = np.empty(min(count, _HASH_BLOCK), dtype=np.uint64)
     seed = model.seed
-    for first in range(0, count, _HASH_BLOCK):
+    # each span is a dozen array calls, and each call releases and retakes the
+    # interpreter lock that the other fading workers wait on: fewer, longer
+    # spans let them overlap better
+    head = min(count // 2, 2 * _HASH_BLOCK) if count > _HASH_BLOCK else 0
+    # made with the draws, before any span is hashed: made after the first
+    # span, it raised the peak resident memory of long passes by about 0.3 MB
+    scratch = np.empty(min(count - head, _HASH_BLOCK), dtype=np.uint64)
+    if head:
+        _hash_block(seed, start_index, gains[:head], gains[head:].view(np.uint64))
+    for first in range(head, count, _HASH_BLOCK):
         _hash_block(seed, start_index + first, gains[first:first + _HASH_BLOCK], scratch)
     # the elementwise rest runs once over the whole row, not per block: the
     # fading workers overlap long array calls, while short ones mostly wait

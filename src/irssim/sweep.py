@@ -17,14 +17,17 @@ and then shifts those statistics by each row's signal: (P, T) work plus an
 (R, P) shift for R rows. A chunk never splits one receiver's trials, so
 results are bit-identical at any chunk size.
 
-The receivers of a pass are split into contiguous ranges, one per worker
-thread, over at most the CPUs the process may use (its affinity mask) and at
-most one worker per two chunks; each worker walks its range chunk by chunk,
-and the numpy loops release the interpreter lock. The draw function
-allocates each chunk's draws, which are freed before the next chunk is
-drawn. Each receiver's statistics are a pure function of its own draws, so
-the bytes are identical at any worker count; ``taskset -c 0`` runs the pass
-serially.
+A pass runs on worker threads, at most one per CPU the process may use (its
+affinity mask) and at most one per two chunks. The workers take chunks from
+one shared queue until it is empty, or until one of them has failed, and the
+numpy loops release the interpreter lock. So which worker reduces which
+receiver changes from run to run, while each receiver's statistics are a
+pure function of its own draws: the bytes are identical at any worker count,
+and ``taskset -c 0`` runs the pass serially. The draw function allocates a
+chunk's draws and at most one hash block of scratch (see
+:func:`irssim.channel.sample_fading_block`), and they are freed before the
+worker draws its next chunk, so a pass holds one chunk and one hash block
+per worker.
 """
 
 from __future__ import annotations
@@ -408,24 +411,30 @@ def _fading_statistics(
     stddev = np.empty(p_count)
     fade_percentiles = np.empty((len(percentiles), p_count))
     step = max(1, _CHUNK_ELEMENTS // trials)
-    chunks = -(-p_count // step)
-    workers = max(1, min(_WORKERS, chunks // 2))
+    starts = range(0, p_count, step)
+    workers = max(1, min(_WORKERS, len(starts) // 2))
+    # the chunks' first receivers, shared by the workers: next() on a range
+    # iterator runs in C under the interpreter lock, so each chunk is taken once
+    queue = iter(starts)
     errors: List[BaseException] = []
 
-    def reduce(first: int, stop: int) -> None:
+    def reduce() -> None:
         # each chunk writes only its own receivers' entries, so workers may
-        # reduce disjoint ranges concurrently; an exception is recorded, and
-        # raised once every worker has ended. Sums are np.add.reduce then a
-        # division, numpy.mean's own arithmetic without its Python wrapper,
-        # and every step runs in place: the Python between the array calls
-        # holds the interpreter lock that the other workers wait on
+        # reduce chunks concurrently; an exception is recorded, no worker
+        # takes a chunk after it, and it is raised once every worker has
+        # ended. Sums are np.add.reduce then a division, numpy.mean's own
+        # arithmetic without its Python wrapper: the mean dB term is divided
+        # here, since the spread subtracts it, the other sums after the join.
+        # Every step runs in place: the Python between the array calls holds
+        # the interpreter lock that the other workers wait on
         try:
-            for start in range(first, stop, step):
-                chunk = slice(start, min(start + step, stop))
+            for start in queue:
+                if errors:
+                    return
+                chunk = slice(start, min(start + step, p_count))
                 n = chunk.stop - start
                 block = sample_fading_block(fading, start * trials, n * trials).reshape(n, trials)
-                gain = np.add.reduce(block, -1, None, mean_gain[chunk])
-                gain /= trials
+                np.add.reduce(block, -1, None, mean_gain[chunk])
                 block /= denominator[chunk, None]
                 np.log10(block, block)
                 block *= 10.0
@@ -436,27 +445,29 @@ def _fading_statistics(
                 # population stddev, step for step as numpy.std, without its temporary
                 block -= mean_db[:, None]
                 np.square(block, block)
-                spread = np.add.reduce(block, -1, None, stddev[chunk])
-                spread /= trials
-                np.sqrt(spread, spread)
+                np.add.reduce(block, -1, None, stddev[chunk])
                 del block  # free this chunk's draws before the next chunk's are made
         except BaseException as exc:
             errors.append(exc)
 
-    # one contiguous range of receivers per worker; the caller is worker 0
-    bounds = [p_count * w // workers for w in range(workers + 1)]
+    # the caller is worker 0
     started = []
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=reduce, args=(bounds[w], bounds[w + 1]))
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=reduce)
             thread.start()
             started.append(thread)
-        reduce(bounds[0], bounds[1])
+        reduce()
     finally:
         for thread in started:
             thread.join()
     if errors:
         raise errors[0]
+    # each division and root is correctly rounded element by element, so one
+    # call over all receivers gives the bytes of one call per chunk
+    mean_gain /= trials
+    stddev /= trials
+    np.sqrt(stddev, stddev)
     return mean_gain, fade_db, stddev, fade_percentiles
 
 

@@ -24,6 +24,7 @@ from irssim import (
     sample_fading_block,
     watts_to_dbm,
 )
+from irssim import channel as channel_module
 from irssim.channel import _HASH_BLOCK as BLOCK
 from irssim.channel import _hash_block, _watts_to_dbm_array
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
@@ -223,6 +224,35 @@ class TestFading:
         parts = np.concatenate([sample_fading_block(model, start, split),
                                 sample_fading_block(model, start + split, count - split)])
         assert whole.tobytes() == parts.tobytes()
+
+    # a row longer than one block hashes its first half, up to two blocks, in
+    # one span, then the rest block by block
+    @pytest.mark.parametrize("count,spans", [
+        (2 * BLOCK - 1, [BLOCK - 1, BLOCK]), (2 * BLOCK, [BLOCK, BLOCK]),
+        (2 * BLOCK + 1, [BLOCK, BLOCK, 1]), (100_000, [50_000, BLOCK, 100_000 - 50_000 - BLOCK]),
+        (200_001, [2 * BLOCK] + [BLOCK] * 4 + [200_001 - 6 * BLOCK])])
+    # the first stream index, and a last index of 2**64 - 1, whose counter
+    # (i + 1) * gamma + seed wraps to the seed itself
+    @pytest.mark.parametrize("at_end", [False, True], ids=["first_index", "last_index"])
+    def test_spans_match_block_by_block_hashing(self, monkeypatch, count, spans, at_end):
+        seed, start = 2**64 - 3, 2**64 - count if at_end else 0
+        expected, scratch = np.empty(count), np.empty(BLOCK, dtype=np.uint64)
+        for first in range(0, count, BLOCK):
+            _hash_block(seed, start + first, expected[first:first + BLOCK], scratch)
+        expected += 0.5
+        expected *= 2.0 ** -53
+        np.log(expected, expected)
+        np.negative(expected, expected)
+        lengths = []
+
+        def spy(seed, start_index, out, scratch):
+            lengths.append(len(out))
+            _hash_block(seed, start_index, out, scratch)
+
+        monkeypatch.setattr(channel_module, "_hash_block", spy)
+        model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=seed)
+        assert sample_fading_block(model, start, count).tobytes() == expected.tobytes()
+        assert lengths == spans
 
     @pytest.mark.parametrize("mode", list(FadingMode))
     @pytest.mark.parametrize("start,count,message", [

@@ -370,21 +370,30 @@ class TestWorkers:
 
     # 100 workers are capped at half the chunks: 8 for the sweep, 4 for the
     # placement, 3 for the kernel's 7 receivers and 6 for the angle sweep; the
-    # Monte-Carlo run stays serial
+    # Monte-Carlo run stays serial. The caller is one of them, and a worker
+    # may find the queue empty, so the started threads are counted, not the
+    # threads that drew
     @pytest.mark.parametrize("workers,expected", [
         (1, [1, 1, 1, 1, 1]), (2, [2, 2, 1, 2, 2]), (3, [3, 3, 1, 3, 3]),
         (100, [8, 4, 1, 3, 6])])
     def test_worker_count(self, monkeypatch, workers, expected):
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
         monkeypatch.setattr(sweep_module, "_WORKERS", workers)
-        threads = spy_on_fading(monkeypatch)
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
         counts = []
         real_evaluate = sweep_module._evaluate
 
         def counting_evaluate(*args, **kwargs):
-            first = len(threads)
+            first = len(started)
             result = real_evaluate(*args, **kwargs)
-            counts.append(len(set(threads[first:])))
+            counts.append(1 + len(started) - first)
             return result
 
         monkeypatch.setattr(sweep_module, "_evaluate", counting_evaluate)
@@ -394,33 +403,37 @@ class TestWorkers:
     def test_worker_failure_is_raised(self, monkeypatch):
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
         monkeypatch.setattr(sweep_module, "_WORKERS", 2)
-        # 16 one-receiver chunks of 20 trials: worker 1 starts at receiver 8
-        threads = spy_on_fading(monkeypatch, fail_at=8 * 20)
+        # 1 000 one-receiver chunks of 20 trials, the first of which fails: no
+        # worker takes a chunk once the failure is recorded, where a worker
+        # given a fixed half of the receivers would draw all of its half
+        threads = spy_on_fading(monkeypatch, fail_at=0)
         alive = threading.active_count()
         scenario = irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=7))
-        with pytest.raises(RuntimeError, match="stream index 160"):
-            run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=16,
+        with pytest.raises(RuntimeError, match="stream index 0$"):
+            run_distance_sweep(scenario, SweepSpec(start=5.0, stop=95.0, steps=1000,
                                                    trials=20, seed=7))
-        assert len(set(threads)) == 2
+        assert len(threads) < 500
         assert threading.active_count() == alive
 
     def test_peak_memory(self, monkeypatch):
         scenario = conventional_scenario(
             fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=2))
-        spec = SweepSpec(start=10.0, stop=40.0, steps=4, trials=200_000, seed=2)
-        row_bytes = spec.trials * 8
-        peaks = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(sweep_module, "_WORKERS", workers)
-            tracemalloc.start()
-            try:
-                run_distance_sweep(scenario, spec)
-                _, peaks[workers] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        # one receiver's row of draws per worker, and a hash block of scratch
-        assert peaks[1] <= 2_500_000
-        assert peaks[2] <= 2 * row_bytes + 2 ** 20
+        # 100 000 draws hash their first half with the second as scratch
+        for trials in (100_000, 200_000):
+            spec = SweepSpec(start=10.0, stop=40.0, steps=4, trials=trials, seed=2)
+            row_bytes = spec.trials * 8
+            peaks = {}
+            for workers in (1, 2):
+                monkeypatch.setattr(sweep_module, "_WORKERS", workers)
+                tracemalloc.start()
+                try:
+                    run_distance_sweep(scenario, spec)
+                    _, peaks[workers] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            # one receiver's row of draws per worker, and a hash block of scratch
+            assert peaks[1] <= 2_500_000
+            assert peaks[2] <= 2 * row_bytes + 2 ** 20
 
 
 class TestFadingStatistics:
