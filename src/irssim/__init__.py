@@ -21,7 +21,6 @@ from irssim.sweep import (
     PlacementReport,
     Scenario,
     SweepResult,
-    SweepRow,
     SweepSpec,
     compare_placement,
     monte_carlo_stats,
@@ -31,7 +30,7 @@ from irssim.sweep import (
 from irssim.config import PRESET_NAMES, build_preset, parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.16.1"
+__version__ = "0.17.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

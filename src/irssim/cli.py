@@ -72,38 +72,21 @@ def _parse_config(path: Path):
     return parse_scenario(text, source=str(path))
 
 
-def _cmd_sweep(args) -> int:
-    if args.preset is not None:
-        scenario, spec = build_preset(args.preset)
-    else:
-        scenario, spec = _parse_config(args.config)
-    scenario, spec = _apply_overrides(scenario, spec, args)
-    result = run_distance_sweep(scenario, spec)
-    emit_results([result], args.format, args.out if args.out else sys.stdout)
-    return 0
-
-
-def _cmd_presets() -> int:
-    for name, description in PRESET_DESCRIPTIONS.items():
-        print(f"{name}\t{description}")
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    _parse_config(args.config)
-    print(f"{args.config}: OK")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         if args.command == "presets":
-            return _cmd_presets()
-        return _cmd_validate(args)
+            for name, description in PRESET_DESCRIPTIONS.items():
+                print(f"{name}\t{description}")
+        elif args.command == "validate":
+            _parse_config(args.config)
+            print(f"{args.config}: OK")
+        else:
+            scenario, spec = (build_preset(args.preset) if args.preset is not None
+                              else _parse_config(args.config))
+            result = run_distance_sweep(*_apply_overrides(scenario, spec, args))
+            emit_results([result], args.format, args.out if args.out else sys.stdout)
+        return 0
     except (SimulatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

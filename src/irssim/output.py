@@ -102,6 +102,9 @@ def render_results(results: Iterable[SweepResult], fmt: str) -> str:
     results = tuple(results)
     if not results:
         raise InvalidInputError("no results to emit")
+    bad = [(i, type(r).__name__) for i, r in enumerate(results) if not isinstance(r, SweepResult)]
+    if bad:
+        raise InvalidInputError("results[%d] must be a SweepResult, got %s" % bad[0])
     if fmt == "csv":
         blocks = [_csv_rows(result) for result in results if result.columns[0]]
         return "\n".join([CSV_HEADER, *blocks, ""])

@@ -32,14 +32,13 @@ per worker.
 
 from __future__ import annotations
 
-import collections.abc
 import functools
 import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,19 +155,10 @@ class SweepSpec:
         return [self.start + i * step for i in range(self.steps)]
 
 
-class SweepRow(NamedTuple):
-    """One grid point of a sweep; iterates in field (and output column) order."""
-
-    x: float
-    rx_power_dbm: float
-    sinr_db: float
-    sinr_db_stddev: float
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """One curve as four columns, in :class:`SweepRow` field order: the swept
-    variable, rx power (dBm), mean SINR (dB) and SINR stddev (dB).
+    """One curve as four columns, named as in the CSV header: ``x`` (the swept
+    variable), ``rx_power_dbm``, ``sinr_db`` (the mean) and ``sinr_db_stddev``.
 
     Each column is stored as a tuple (a tuple given is kept as it is); there
     must be exactly four, all of one length, or InvalidInputError is raised.
@@ -188,40 +178,10 @@ class SweepResult:
         object.__setattr__(self, "columns", columns)
 
     @property
-    def rows(self) -> Sequence[SweepRow]:
-        """The grid points as :class:`SweepRow` tuples: a read-only view of the columns."""
-        return _Rows(self.columns)
-
-
-class _Rows(collections.abc.Sequence):
-    """The rows of a result's columns, each built as a :class:`SweepRow` when it is
-    read; the length is the columns' own, so taking it builds no row. Equal to a
-    tuple, or another view, of the same rows."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: Tuple[tuple, ...]) -> None:
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return tuple.__new__(SweepRow, [column[index] for column in self._columns])
-
-    def __iter__(self):
-        # tuple.__new__ makes each row in C, as compare_placement makes its entries
-        return map(tuple.__new__, repeat(SweepRow), zip(*self._columns))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _Rows)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    def rows(self) -> Tuple[Tuple[float, float, float, float], ...]:
+        """The columns transposed: one plain 4-tuple per grid point. Kept because
+        bench/tracer.py's ``_points`` counts a result's points as ``len(result.rows)``."""
+        return tuple(zip(*self.columns))
 
 
 @dataclass(frozen=True)
@@ -262,6 +222,16 @@ class _LinkStats(NamedTuple):
     sinr_db: np.ndarray  # (R, P) mean of the per-trial SINR in dB
     sinr_db_stddev: np.ndarray  # (P,) population stddev of the per-trial SINR in dB
     percentiles: np.ndarray  # (Q, R, P) per-trial SINR percentiles in dB
+
+
+def _read(values: Iterable, name: str, size: Optional[int] = None) -> tuple:
+    """``values`` read once into a tuple, of ``size`` items if a size is given;
+    any other value is an InvalidInputError that names the argument ``name``."""
+    items = tuple(values) if isinstance(values, Iterable) else None
+    if items is None or size is not None and len(items) != size:
+        expected = "be iterable" if size is None else f"hold {size} values"
+        raise InvalidInputError(f"{name} must {expected}, got {values!r}")
+    return items
 
 
 def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
@@ -534,7 +504,7 @@ def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
 
 def run_angle_sweep(
     scenario: Scenario,
-    angle_pairs: Sequence[Tuple[float, float]],
+    angle_pairs: Iterable[Tuple[float, float]],
     spec: SweepSpec,
 ) -> List[SweepResult]:
     """One distance sweep per (theta_t, theta_r) pair, all from one fading pass.
@@ -542,11 +512,12 @@ def run_angle_sweep(
     Every pair is scored against the same draws (the same seed and stream
     indices), so dB gaps between the returned curves reflect only the angle
     change (common random numbers), and the sweep costs about as much as one
-    distance sweep.
+    distance sweep. ``angle_pairs`` may be any iterable of two-value pairs.
     """
     if scenario.irs is None:
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
-    panels = [replace(scenario.panel, theta_t=t, theta_r=r) for t, r in angle_pairs]
+    pairs = [_read(pair, "angle_pairs entry", 2) for pair in _read(angle_pairs, "angle_pairs")]
+    panels = [replace(scenario.panel, theta_t=t, theta_r=r) for t, r in pairs]
     return _sweeps(scenario, spec, panels, [
         f"{scenario.label} theta_t={_angle_text(p.theta_t)} theta_r={_angle_text(p.theta_r)}"
         for p in panels])
@@ -582,17 +553,20 @@ def monte_carlo_stats(
 
 def compare_placement(
     scenario: Scenario,
-    irs_positions: Sequence[Point3],
-    rx_positions: Sequence[Point3],
+    irs_positions: Iterable[Point3],
+    rx_positions: Iterable[Point3],
     spec: SweepSpec,
 ) -> PlacementReport:
     """Rank candidate reflector positions by their worst-receiver SINR.
 
     Fading draws are indexed by receiver only, so every candidate position is
-    scored against identical channel realizations.
+    scored against identical channel realizations. Either position list may
+    be any iterable; it is read once, and the entries keep the given points.
     """
     if scenario.irs is None:
         raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
+    irs_positions = _read(irs_positions, "irs_positions")
+    rx_positions = _read(rx_positions, "rx_positions")
     irs = _as_array(irs_positions, "irs_positions entry")
     rx = _as_array(rx_positions, "rx_positions entry")
     if not (len(irs) and len(rx)):

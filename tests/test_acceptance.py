@@ -234,9 +234,8 @@ def test_criterion_3_scaling_laws():
 def test_criterion_4_fig1_trend():
     scenario, spec = build_preset("fig1")
     result = run_distance_sweep(scenario, spec)
-    sinr_db = np.array([row.sinr_db for row in result.rows])
+    xs, _, sinr_db, _ = map(np.array, result.columns)
     assert np.all(np.diff(sinr_db) < 0)
-    xs = np.array([row.x for row in result.rows])
     slope = np.polyfit(10.0 * np.log10(xs), sinr_db, 1)[0]
     alpha = scenario.channel.path_loss_exponent
     assert slope == pytest.approx(-alpha, abs=1e-9)
@@ -258,11 +257,12 @@ def test_criterion_5_fig2_angle_family():
 
     expected_ab = cos_db(45, 45) - cos_db(60, 60)
     expected_cb = cos_db(45, 60) - cos_db(60, 60)
-    for row_a, row_b, row_c in zip(
-            results["fig2a"].rows, results["fig2b"].rows, results["fig2c"].rows):
-        assert row_a.sinr_db - row_b.sinr_db == pytest.approx(expected_ab, abs=1e-9)
-        assert row_c.sinr_db - row_b.sinr_db == pytest.approx(expected_cb, abs=1e-9)
-        assert row_a.sinr_db_stddev > 0  # fading really was enabled
+    (_, _, sinr_a, stddev_a), (_, _, sinr_b, _), (_, _, sinr_c, _) = (
+        results[name].columns for name in ("fig2a", "fig2b", "fig2c"))
+    for a, b, c, stddev in zip(sinr_a, sinr_b, sinr_c, stddev_a):
+        assert a - b == pytest.approx(expected_ab, abs=1e-9)
+        assert c - b == pytest.approx(expected_cb, abs=1e-9)
+        assert stddev > 0  # fading really was enabled
     report(5, "fig2a/b/c pointwise dB gaps equal cosine-product ratios at 1000 trials")
 
 

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irssim import (FadingModel, InvalidInputError, SweepResult, SweepRow, build_preset,
-                    run_angle_sweep, run_distance_sweep)
+from irssim import (FadingModel, InvalidInputError, SweepResult, build_preset, run_angle_sweep,
+                    run_distance_sweep)
 from irssim import output
 from irssim.channel import FadingMode
 from irssim.config import PRESET_NAMES
@@ -36,8 +36,7 @@ def json_oracle(results):
             "label": result.scenario_label,
             "variable": result.variable_name,
             "metadata": result.metadata,
-            "rows": [[row.x, row.rx_power_dbm, row.sinr_db, row.sinr_db_stddev]
-                     for row in result.rows],
+            "rows": [list(row) for row in zip(*result.columns)],
         }
         for result in results
     ]
@@ -48,10 +47,9 @@ def csv_oracle(results):
     """The unquoted per-row renderer; exact for labels without CSV_SPECIAL characters."""
     lines = [CSV_HEADER]
     for result in results:
-        for row in result.rows:
+        for x, rx_power_dbm, sinr_db, stddev in zip(*result.columns):
             lines.append(
-                f"{result.scenario_label},{row.x:.6f},{row.rx_power_dbm:.6f},"
-                f"{row.sinr_db:.6f},{row.sinr_db_stddev:.6f}")
+                f"{result.scenario_label},{x:.6f},{rx_power_dbm:.6f},{sinr_db:.6f},{stddev:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -121,7 +119,7 @@ def test_csv_reads_back_as_five_fields_with_the_label(results):
     table = list(csv.reader(io.StringIO(text, newline="")))
     assert table[0] == CSV_HEADER.split(",")
     expected = [[result.scenario_label, *(f"{v:.6f}" for v in row)]
-                for result in results for row in result.rows]
+                for result in results for row in zip(*result.columns)]
     assert table[1:] == expected
 
 
@@ -150,13 +148,15 @@ def test_empty_rows_render_as_the_oracle_does():
     assert render_results([empty], "csv") == CSV_HEADER + "\n"
 
 
-def test_sweep_row_is_a_named_tuple():
-    row = SweepRow(x=1.0, rx_power_dbm=-40.0, sinr_db=20.0, sinr_db_stddev=0.5)
-    assert tuple(row) == (1.0, -40.0, 20.0, 0.5)
-    assert row.sinr_db == 20.0
-    assert row == SweepRow(1.0, -40.0, 20.0, 0.5)
-    with pytest.raises(AttributeError):
-        row.x = 2.0
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_results_are_rejected_before_writing(fmt, tmp_path):
+    good = SweepResult("good", "distance_m", ((1.0,), (2.0,), (3.0,), (4.0,)))
+    buffer, path = io.StringIO(), tmp_path / "out"
+    for destination in (buffer, path):
+        with pytest.raises(InvalidInputError) as caught:
+            emit_results([good, "fig2b"], fmt, destination)
+        assert str(caught.value) == "results[1] must be a SweepResult, got str"
+    assert buffer.getvalue() == "" and not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -292,14 +292,8 @@ def test_columns_are_stored_as_tuples_and_read_as_rows():
     result = SweepResult("r", "distance_m", [grid, [3.0, 4.0], iter([5.0, 6.0]), (7, 8)])
     assert result.columns == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (7, 8))
     assert result.columns[0] is grid
-    rows = (SweepRow(1.0, 3.0, 5.0, 7), SweepRow(2.0, 4.0, 6.0, 8))
-    assert result.rows == rows and rows == result.rows and len(result.rows) == 2
-    assert [result.rows[0], result.rows[-1]] == list(result.rows) == list(rows)
-    assert result.rows[:1] == rows[:1]
-    assert all(type(row) is SweepRow for row in result.rows)
-    assert result.rows != rows[:1] and result.rows != list(rows)
-    with pytest.raises(IndexError):
-        result.rows[2]
+    assert result.rows == ((1.0, 3.0, 5.0, 7), (2.0, 4.0, 6.0, 8))
+    assert type(result.rows) is tuple and all(type(row) is tuple for row in result.rows)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.rows = ()
 

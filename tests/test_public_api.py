@@ -14,7 +14,7 @@ import irssim
 PUBLIC_NAMES = {
     "ChannelParams", "ConfigError", "DegenerateGeometryError", "FadingModel", "InterfererSet",
     "InvalidInputError", "IrsPanel", "MonteCarloStats", "PlacementEntry", "PlacementReport",
-    "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepRow", "SweepSpec",
+    "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepSpec",
     "build_preset", "compare_placement",
     "conventional_rx_power", "dbm_to_watts", "distance", "emit_results", "irs_rx_power",
     "monte_carlo_stats", "parse_scenario", "run_angle_sweep",
@@ -63,10 +63,6 @@ def test_module_defines_only_its_public_names(module):
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 def test_dataclass_fields(cls):
     assert list(cls.__dataclass_fields__) == FIELDS[cls]
-
-
-def test_sweep_row_fields():
-    assert irssim.SweepRow._fields == ("x", "rx_power_dbm", "sinr_db", "sinr_db_stddev")
 
 
 @pytest.mark.parametrize("cls", [irssim.Point3, irssim.IrsPanel, irssim.FadingModel,

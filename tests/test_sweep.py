@@ -20,7 +20,6 @@ from irssim import (
     IrsPanel,
     Point3,
     Scenario,
-    SweepRow,
     SweepSpec,
     build_preset,
     compare_placement,
@@ -183,20 +182,20 @@ class TestDistanceSweep:
         result = run_distance_sweep(
             conventional_scenario(alpha=2.0),
             SweepSpec(start=10.0, stop=40.0, steps=4))
-        sinr_db = [row.sinr_db for row in result.rows]
+        _, _, sinr_db, _ = result.columns
         assert sinr_db[1] - sinr_db[0] == pytest.approx(-6.0206, abs=1e-4)
         assert sinr_db[3] - sinr_db[1] == pytest.approx(-6.0206, abs=1e-4)
 
     def test_irs_leg_product_in_db(self):
         result = run_distance_sweep(irs_scenario(), SweepSpec(start=15.0, stop=30.0, steps=2))
-        gap = result.rows[1].sinr_db - result.rows[0].sinr_db
+        _, _, sinr_db, _ = result.columns
+        gap = sinr_db[1] - sinr_db[0]
         assert gap == pytest.approx(-2.0 * 10.0 * math.log10(2.0), abs=1e-9)
 
     def test_rows_sorted_and_counted(self):
         spec = SweepSpec(start=5.0, stop=100.0, steps=20)
         result = run_distance_sweep(conventional_scenario(), spec)
-        xs = [row.x for row in result.rows]
-        assert xs == spec.grid()
+        assert list(result.columns[0]) == spec.grid()
 
     @pytest.mark.parametrize("name", ["fig1", "fig2b"])
     def test_receivers_lie_on_the_x_ray_from_the_origin(self, name):
@@ -207,10 +206,11 @@ class TestDistanceSweep:
             [(scenario.channel, Point3(60.0, 40.0, 10.0))]))
         origin = scenario.tx if scenario.irs is None else scenario.irs
         result = run_distance_sweep(scenario, spec)
-        for row in result.rows:
-            point = Point3(origin.x + row.x, origin.y, origin.z)
+        xs, _, sinr_db, _ = result.columns
+        for x, value in zip(xs, sinr_db):
+            point = Point3(origin.x + x, origin.y, origin.z)
             expected = monte_carlo_stats(scenario, point, 1, 0).mean_sinr_db
-            assert row.sinr_db == pytest.approx(expected, abs=1e-12)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("sweep", [
         lambda spec: [run_distance_sweep(irs_scenario(), spec)],
@@ -219,25 +219,22 @@ class TestDistanceSweep:
             irs_scenario(fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=3)),
             [(45, 45), (60, 45)], spec),
     ], ids=["irs", "conventional", "angle"])
-    def test_rows_are_sweep_rows(self, sweep):
-        results = sweep(SweepSpec(start=5.0, stop=100.0, steps=20, trials=10, seed=3))
-        for result in results:
-            assert len(result.rows) == 20
-            for row in result.rows:
-                assert type(row) is SweepRow
-                assert len(row) == 4
-                assert row.x == row[0]
-                assert row.rx_power_dbm == row[1]
-                assert row.sinr_db == row[2]
-                assert row.sinr_db_stddev == row[3]
+    def test_rows_transpose_the_columns(self, sweep):
+        """``rows`` is what the benchmark tracer reads: ``_points`` in bench/tracer.py
+        counts a sweep's grid points as ``len(result.rows)``, so without it the
+        traced ``sweep.points`` would read 0."""
+        spec = SweepSpec(start=5.0, stop=100.0, steps=20, trials=10, seed=3)
+        for result in sweep(spec):
+            assert len(result.rows) == spec.steps
+            assert result.rows == tuple(zip(*result.columns))
+            assert all(type(row) is tuple and len(row) == 4 for row in result.rows)
 
     def test_deterministic_trials_equivalent(self):
         scenario = conventional_scenario()
         few = run_distance_sweep(scenario, SweepSpec(start=5.0, stop=50.0, steps=10, trials=1, seed=3))
         many = run_distance_sweep(scenario, SweepSpec(start=5.0, stop=50.0, steps=10, trials=1000, seed=3))
-        for a, b in zip(few.rows, many.rows):
-            assert a.sinr_db == b.sinr_db
-            assert b.sinr_db_stddev == 0.0
+        assert few.columns[2] == many.columns[2]
+        assert set(many.columns[3]) == {0.0}
 
     def test_reproducible_across_runs(self):
         scenario = conventional_scenario(
@@ -245,15 +242,14 @@ class TestDistanceSweep:
         spec = SweepSpec(start=5.0, stop=50.0, steps=10, trials=32, seed=11)
         first = run_distance_sweep(scenario, spec)
         second = run_distance_sweep(scenario, spec)
-        assert first.rows == second.rows
+        assert first.columns == second.columns
 
     def test_slope_equals_negative_alpha(self):
         for alpha in (2.0, 3.5):
             result = run_distance_sweep(
                 conventional_scenario(alpha=alpha),
                 SweepSpec(start=5.0, stop=100.0, steps=40))
-            xs = np.array([row.x for row in result.rows])
-            ys = np.array([row.sinr_db for row in result.rows])
+            xs, _, ys, _ = map(np.array, result.columns)
             slope = np.polyfit(10.0 * np.log10(xs), ys, 1)[0]
             assert slope == pytest.approx(-alpha, abs=1e-9)
 
@@ -273,7 +269,7 @@ class TestDistanceSweep:
             channel=dataclasses.replace(make_channel(), tx_power=1.5e308))
         result = run_distance_sweep(
             scenario, SweepSpec(start=0.0095, stop=0.05, steps=5, trials=100, seed=1))
-        powers = [row.rx_power_dbm for row in result.rows]
+        powers = list(result.columns[1])
         assert all(math.isfinite(p) for p in powers)
         assert 3110.0 < powers[0] < 3112.6 and powers == sorted(powers, reverse=True)
 
@@ -311,7 +307,7 @@ def fading_outputs():
         25, 7, where=lambda k, p: "", percentiles=(5, 50, 95))
     angles = run_angle_sweep(scenario, [(45, 45), (0, 0), (30, 60)],
                              SweepSpec(start=5.0, stop=95.0, steps=12, trials=20, seed=7))
-    return sweep.rows, placement.entries, stats, [a.tobytes() for a in link], angles
+    return sweep.columns, placement.entries, stats, [a.tobytes() for a in link], angles
 
 
 class TestChunkInvariance:
@@ -492,19 +488,18 @@ class TestAngleSweep:
         results = run_angle_sweep(self.fading_scenario(), [(45, 45), (60, 60)], self.spec)
         expected = 10.0 * math.log10(
             (math.cos(math.radians(45)) ** 2) / (math.cos(math.radians(60)) ** 2))
-        for a, b in zip(results[0].rows, results[1].rows):
-            assert a.sinr_db - b.sinr_db == pytest.approx(expected, abs=1e-9)
+        for a, b in zip(results[0].columns[2], results[1].columns[2]):
+            assert a - b == pytest.approx(expected, abs=1e-9)
 
     def test_swapped_angles_identical(self):
         results = run_angle_sweep(self.fading_scenario(), [(45, 60), (60, 45)], self.spec)
-        for a, b in zip(results[0].rows, results[1].rows):
-            assert a.sinr_db == pytest.approx(b.sinr_db, abs=1e-12)
-            assert a.rx_power_dbm == pytest.approx(b.rx_power_dbm, abs=1e-12)
+        for a, b in zip(results[0].columns[1:3], results[1].columns[1:3]):
+            assert a == pytest.approx(b, abs=1e-12)
 
     def test_boresight_vs_60_degrees(self):
         results = run_angle_sweep(self.fading_scenario(), [(0, 0), (60, 60)], self.spec)
-        for a, b in zip(results[0].rows, results[1].rows):
-            assert a.sinr_db - b.sinr_db == pytest.approx(6.0206, abs=1e-4)
+        for a, b in zip(results[0].columns[2], results[1].columns[2]):
+            assert a - b == pytest.approx(6.0206, abs=1e-4)
 
     def test_labels_name_the_exact_angles(self):
         pairs = [(45, 45), (45.0000001, 45), (60, 60.5)]
@@ -513,7 +508,7 @@ class TestAngleSweep:
         assert [r.scenario_label for r in results] == [
             f"{label} theta_t=45 theta_r=45", f"{label} theta_t=45.0000001 theta_r=45",
             f"{label} theta_t=60 theta_r=60.5"]
-        assert results[0].rows != results[1].rows
+        assert results[0].columns != results[1].columns
 
     @pytest.mark.parametrize("fading", [
         FadingModel(mode=FadingMode.DETERMINISTIC),
@@ -560,6 +555,24 @@ class TestAngleSweep:
         drawn.clear()
         assert run_angle_sweep(scenario, [], self.spec) == []
         assert evaluations == drawn == []
+
+    def test_pairs_may_be_any_iterable(self):
+        expected = run_angle_sweep(self.fading_scenario(), [(45, 45), (60, 30)], self.spec)
+        for pairs in ((pair for pair in [(45, 45), (60, 30)]),
+                      [iter((45, 45)), np.array([60.0, 30.0])], {(45, 45): 1, (60, 30): 2}):
+            results = run_angle_sweep(self.fading_scenario(), pairs, self.spec)
+            assert render_results(results, "json") == render_results(expected, "json")
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(45,)], "angle_pairs entry must hold 2 values, got (45,)"),
+        ([(45, 45), [45, 45, 45]], "angle_pairs entry must hold 2 values, got [45, 45, 45]"),
+        ([45], "angle_pairs entry must hold 2 values, got 45"),
+        (45, "angle_pairs must be iterable, got 45"),
+    ], ids=["one_value", "three_values", "not_a_pair", "not_iterable"])
+    def test_pairs_must_be_two_values(self, pairs, message):
+        with pytest.raises(InvalidInputError) as caught:
+            run_angle_sweep(self.fading_scenario(), pairs, self.spec)
+        assert str(caught.value) == message
 
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(InvalidInputError):
@@ -690,11 +703,27 @@ class TestComparePlacement:
          "rx_positions entry must be a Point3, got 'rx'"),
         (np.array([[50.0, 0.0, 10.0]]), [Point3(70, 0, 1.5)],
          "irs_positions entry must be a Point3, got array([50.,  0., 10.])"),
-    ], ids=["irs", "rx", "irs_array"])
+        (Point3(50, 0, 10), [Point3(70, 0, 1.5)],
+         "irs_positions must be iterable, got Point3(x=50, y=0, z=10)"),
+        ([Point3(50, 0, 10)], 1.5, "rx_positions must be iterable, got 1.5"),
+        ((p for p in [Point3(50, 0, 10), None]), [Point3(70, 0, 1.5)],
+         "irs_positions entry must be a Point3, got None"),
+    ], ids=["irs", "rx", "irs_array", "irs_point", "rx_float", "irs_generator"])
     def test_positions_must_be_points(self, irs, rx, message):
         with pytest.raises(InvalidInputError) as caught:
             compare_placement(irs_scenario(), irs, rx, self.spec)
         assert str(caught.value) == message
+
+    def test_positions_may_be_any_iterable(self):
+        candidates = [Point3(x, 0, 10) for x in (20, 40, 60, 90)]
+        receivers = [Point3(x, 0, 1.5) for x in (30, 80)]
+        expected = compare_placement(irs_scenario(), candidates, receivers, self.spec).entries
+        for irs, rx in (((p for p in candidates), iter(receivers)),
+                        (set(candidates), dict.fromkeys(receivers))):
+            entries = compare_placement(irs_scenario(), irs, rx, self.spec).entries
+            assert entries == expected
+            # the entries hold the given points themselves
+            assert {id(entry.irs_position) for entry in entries} == set(map(id, candidates))
 
     def test_interferer_positions_must_be_points(self):
         with pytest.raises(InvalidInputError) as caught:
