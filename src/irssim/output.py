@@ -63,7 +63,11 @@ def _csv_field(text: str) -> str:
 def _csv_rows(result: SweepResult) -> str:
     columns = result.columns
     row = _csv_field(result.scenario_label).replace("%", "%%") + ",%.6f,%.6f,%.6f,%.6f"
-    return "\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    try:
+        return "\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    except TypeError as exc:  # a value %f cannot format
+        raise InvalidInputError(
+            f"CSV values of {result.scenario_label!r} must be real numbers ({exc})") from None
 
 
 def _encode(column: tuple) -> list:
@@ -99,6 +103,8 @@ def _json_rows(results: Iterable[SweepResult]) -> Iterator[str]:
 
 
 def render_results(results: Iterable[SweepResult], fmt: str) -> str:
+    if not isinstance(results, Iterable):  # a lone SweepResult, say
+        raise InvalidInputError(f"expected a list of results, got {type(results).__name__}")
     results = tuple(results)
     if not results:
         raise InvalidInputError("no results to emit")

@@ -2,20 +2,21 @@
 
 Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
 statistics) is one call of the array kernel :func:`_evaluate`, which scores
-signal rows against P receivers over T fading trials. A row is one panel at
-one reflector position: a placement search has a row per candidate
-position, an angle sweep a row per (theta_t, theta_r) pair. The kernel owns
-the whole stream layout, and every random draw is a pure function of (seed,
-stream index): trial t at receiver p uses index p*T + t, and modeled
-interferer j at receiver p uses index ``_INTERFERENCE_STREAM_BASE + p*J + j``
-(J interferers), one gain shared by every trial. So every row sees the same
-draws (common random numbers). The noise-plus-interference power depends on the
-receiver only, so in dB the per-trial SINR is the row's unit-fading signal
-plus a fading term shared by all rows. The kernel therefore reduces the
-(P, T) fading terms once, walking the receivers in chunks sized by memory,
-and then shifts those statistics by each row's signal: (P, T) work plus an
-(R, P) shift for R rows. A chunk never splits one receiver's trials, so
-results are bit-identical at any chunk size.
+signal rows against P receivers over T fading trials; its docstring states
+the noise-plus-interference power and the order of the faults it reports. A
+row is one panel at one reflector position: a placement search has a row per
+candidate position, an angle sweep a row per (theta_t, theta_r) pair. The
+kernel owns the whole stream layout, and every random draw is a pure
+function of (seed, stream index): trial t at receiver p uses index p*T + t,
+and modeled interferer j at receiver p uses index
+``_INTERFERENCE_STREAM_BASE + p*J + j`` (J interferers), one gain shared by
+every trial. So every row sees the same draws (common random numbers). The
+noise-plus-interference power depends on the receiver only, so in dB the
+per-trial SINR is the row's unit-fading signal plus a fading term shared by
+all rows. The kernel therefore reduces the (P, T) fading terms once, walking
+the receivers in chunks sized by memory, and then shifts those statistics by
+each row's signal: (P, T) work plus an (R, P) shift for R rows. A chunk never
+splits one receiver's trials, so results are bit-identical at any chunk size.
 
 A pass runs on worker threads, at most one per CPU the process may use (its
 affinity mask) and at most one per two chunks. The workers take chunks from
@@ -160,8 +161,8 @@ class SweepResult:
     """One curve as four columns, named as in the CSV header: ``x`` (the swept
     variable), ``rx_power_dbm``, ``sinr_db`` (the mean) and ``sinr_db_stddev``.
 
-    Each column is stored as a tuple (a tuple given is kept as it is); there
-    must be exactly four, all of one length, or InvalidInputError is raised.
+    Labels are strings; each column is stored as a tuple (a tuple given is kept
+    as it is), four of one length. Any other value is an InvalidInputError.
     """
 
     scenario_label: str
@@ -170,6 +171,9 @@ class SweepResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("scenario_label", "variable_name"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidInputError(f"{name} must be a str, got {getattr(self, name)!r}")
         columns = tuple(map(tuple, self.columns))
         if len(columns) != 4 or len(set(map(len, columns))) != 1:
             raise InvalidInputError(
@@ -244,70 +248,18 @@ def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
     return np.fromiter(coordinates, float, 3 * len(points)).reshape(-1, 3)
 
 
-def _link_powers(
-    scenario: Scenario,
-    irs: Optional[np.ndarray],
-    rx: np.ndarray,
-    fading: FadingModel,
-    where: Callable[[Optional[int], int], str],
-    panels: Optional[Sequence[IrsPanel]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit-fading received power of each of A panels (by default the
-    scenario's own) at each of K positions, shape (A*K, P) with row a*K + k
-    (conventional mode has one row), and the noise-plus-interference power
-    at each receiver, shape (P,).
-
-    That power is the constant floor, plus the direct-link power of each
-    modeled interferer, faded by its gain at the receiver (stream index
-    ``_INTERFERENCE_STREAM_BASE + p*J + j``), plus the thermal noise; with no
-    interferers nothing is drawn. The legs and the interferers are checked
-    first, as :func:`_evaluate` describes, so the power formulas see no
-    degenerate pair.
-    """
-    if irs is None:
-        legs = (distance(scenario.tx, rx)[None, :],)
-        faults = ["link distance must be > 0, got 0.0"]
-    else:
-        legs = (distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
-        faults = ["transmitter and reflector coincide (r1 = 0)",
-                  "reflector and receiver coincide (r2 = 0)"]
-    interferers = scenario.interference.interferers
-    faults += [f"interferer {j} at {position} coincides with the receiver"
-               for j, (_, position) in enumerate(interferers)]
-    reach = distance(_as_array([position for _, position in interferers]).reshape(-1, 1, 3), rx)
-    # one mask per fault, in the order a single pair is checked
-    masks = [leg == 0.0 for leg in legs] + list(reach == 0.0)
-    bad = functools.reduce(np.logical_or, masks[::-1])  # the (P,) masks first
-    if bad.any():
-        k, p = np.argwhere(bad)[0].tolist()
-        # mask & bad is the mask at bad's shape, and bad holds at (k, p)
-        fault = next(f for f, mask in enumerate(masks) if (mask & bad)[k, p])
-        raise DegenerateGeometryError(
-            f"{where(k if fault < len(legs) else None, p)}: {faults[fault]}")
-    if irs is None:
-        signal = conventional_rx_power(scenario.channel, legs[0], 1.0, scenario.conventional_model)
-    else:
-        signal = np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
-                                 for panel in panels or (scenario.panel,)])
-    denominator = np.full(len(rx), scenario.interference.constant_power)
-    if interferers:
-        gains = sample_fading_block(fading, _INTERFERENCE_STREAM_BASE, reach.size)
-        # the gains of interferer j are column j of the (P, J) block
-        for (params, _), r, gain in zip(interferers, reach, gains.reshape(len(rx), -1).T):
-            denominator += conventional_rx_power(params, r, gain, scenario.conventional_model)
-    denominator += scenario.channel.noise_power
-    return signal, denominator
-
-
-def _check_range(power: np.ndarray, name: str, place: Callable[[int, int], str]) -> None:
-    """Raise InvalidInputError at the first (k, p) in row-major order where
-    ``power`` is 0 W or not finite."""
-    finite = (power > 0) & (power < math.inf)
-    if not finite.all():
-        k, p = np.argwhere(~finite)[0].tolist()
-        raise InvalidInputError(
-            f"{place(k, p)}: {name} {float(power[k, p])!r} W is outside the float range;"
-            " check the link budget")
+def _first_fault(masks: Sequence[np.ndarray]) -> Optional[Tuple[Optional[int], int, int]]:
+    """The first (k, p) in row-major order where one of ``masks`` holds, each
+    of shape (K, P) or (P,) (a (P,) mask holds at every k), and the index f of
+    the first mask that holds there, as (k, p, f); k is None when that mask
+    has shape (P,), a fault of receiver p alone. None when no mask holds."""
+    bad = np.atleast_2d(functools.reduce(np.logical_or, masks[::-1]))  # the (P,) masks first
+    if not bad.any():
+        return None
+    k, p = np.argwhere(bad)[0].tolist()
+    # mask & bad is the mask at bad's shape, and bad holds at (k, p)
+    f = next(f for f, mask in enumerate(masks) if (mask & bad)[k, p])
+    return (None if masks[f].ndim == 1 else k), p, f
 
 
 def _evaluate(
@@ -320,36 +272,79 @@ def _evaluate(
     percentiles: Sequence[float] = (),
     panels: Optional[Sequence[IrsPanel]] = None,
 ) -> _LinkStats:
-    """Link statistics of the signal rows of :func:`_link_powers` against P receivers.
+    """Link statistics of A panels (by default the scenario's own) at K
+    reflector positions against P receivers, in rows a*K + k.
 
-    ``irs`` has shape (K, 3), or is None in conventional mode (K = 1); ``rx``
-    has shape (P, 3). Each row is scored over ``trials`` fading draws seeded
-    by ``seed``, the same draws for every row; deterministic fading evaluates
-    one trial, since all are identical. Before the fading pass, array checks
-    find the first fault of each kind, in row-major (k, p) order: a zero leg
-    or an interferer on receiver p (DegenerateGeometryError), then a row k
-    whose unit-fading power at receiver p is 0 W or not finite, then an
-    infinite noise-plus-interference power at receiver p (InvalidInputError,
-    a link budget outside the float range). After the pass, a mean received
-    power that is 0 W or not finite is the same fault. A fault of the pair
-    is named ``where(k, p)``, one of receiver p alone ``where(None, p)``.
+    ``irs`` has shape (K, 3), or is None in conventional mode (one row);
+    ``rx`` has shape (P, 3). A row's signal is its unit-fading received
+    power, from the legs r1 and r2 (the direct link in conventional mode).
+    The denominator at receiver p is the noise-plus-interference power: the
+    constant floor, plus the direct-link power of each modeled interferer,
+    faded by its own gain at the receiver, plus the thermal noise; with no
+    interferers nothing is drawn. Each row is scored over ``trials`` fading
+    draws seeded by ``seed``, the same draws for every row; deterministic
+    fading evaluates one trial, since all are identical.
+
+    Faults are found by array checks, each reporting its first fault in
+    row-major (k, p) order, in this order of kinds: a zero leg or an
+    interferer on receiver p (DegenerateGeometryError, checked before the
+    power formulas see the pair); then a row k whose signal at receiver p is
+    0 W or not finite; then an infinite denominator at receiver p; then,
+    after the fading pass, a mean received power that is 0 W or not finite
+    (InvalidInputError, a link budget outside the float range). A fault of
+    the pair is named ``where(k, p)``, one of receiver p alone ``where(None, p)``.
     """
     fading = scenario.fading
     if fading.mode is FadingMode.DETERMINISTIC:
         trials = 1
     else:
         fading = replace(fading, seed=seed)
-    # a power beyond the float range is reported below, not warned about
+
+    def check_range(power: np.ndarray, name: str) -> None:
+        fault = _first_fault([~((power > 0) & (power < math.inf))])
+        if fault:
+            k, p, _ = fault
+            raise InvalidInputError(
+                f"{where(k, p)}: {name} {float(power[p] if k is None else power[k, p])!r} W"
+                " is outside the float range; check the link budget")
+
+    # a power beyond the float range is reported by check_range, not warned about
     with np.errstate(all="ignore"):
-        signal, denominator = _link_powers(scenario, irs, rx, fading, where, panels)
-    _check_range(signal, "received power", where)
-    _check_range(denominator[None, :], "interference plus noise power",
-                 lambda k, p: where(None, p))
+        if irs is None:
+            legs = (distance(scenario.tx, rx)[None, :],)
+            faults = ["link distance must be > 0, got 0.0"]
+        else:
+            legs = (distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
+            faults = ["transmitter and reflector coincide (r1 = 0)",
+                      "reflector and receiver coincide (r2 = 0)"]
+        interferers = scenario.interference.interferers
+        faults += [f"interferer {j} at {position} coincides with the receiver"
+                   for j, (_, position) in enumerate(interferers)]
+        reach = distance(_as_array([position for _, position in interferers]).reshape(-1, 1, 3), rx)
+        # one mask per fault, in the order a single pair is checked
+        fault = _first_fault([leg == 0.0 for leg in legs] + list(reach == 0.0))
+        if fault:
+            k, p, f = fault
+            raise DegenerateGeometryError(f"{where(k, p)}: {faults[f]}")
+        if irs is None:
+            signal = conventional_rx_power(scenario.channel, legs[0], 1.0, scenario.conventional_model)
+        else:
+            signal = np.concatenate([irs_rx_power(scenario.channel, panel, *legs)
+                                     for panel in panels or (scenario.panel,)])
+        denominator = np.full(len(rx), scenario.interference.constant_power)
+        if interferers:
+            gains = sample_fading_block(fading, _INTERFERENCE_STREAM_BASE, reach.size)
+            # the gains of interferer j are column j of the (P, J) block
+            for (params, _), r, gain in zip(interferers, reach, gains.reshape(len(rx), -1).T):
+                denominator += conventional_rx_power(params, r, gain, scenario.conventional_model)
+        denominator += scenario.channel.noise_power
+    check_range(signal, "received power")
+    check_range(denominator, "interference plus noise power")
     mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
         fading, denominator, trials, percentiles)
     with np.errstate(all="ignore"):
         power = signal * mean_gain
-    _check_range(power, "mean received power", where)
+    check_range(power, "mean received power")
 
     # then shift by each row's unit-fading signal, (R, P) work
     signal_db = 10.0 * np.log10(signal)

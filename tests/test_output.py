@@ -156,7 +156,32 @@ def test_non_results_are_rejected_before_writing(fmt, tmp_path):
         with pytest.raises(InvalidInputError) as caught:
             emit_results([good, "fig2b"], fmt, destination)
         assert str(caught.value) == "results[1] must be a SweepResult, got str"
+        # a lone result, or anything else that is not a list of results
+        for lone, kind in ((good, "SweepResult"), (3, "int")):
+            with pytest.raises(InvalidInputError) as caught:
+                emit_results(lone, fmt, destination)
+            assert str(caught.value) == f"expected a list of results, got {kind}"
     assert buffer.getvalue() == "" and not path.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    ((3, "distance_m"), "scenario_label must be a str, got 3"),
+    (("r", None), "variable_name must be a str, got None"),
+], ids=["label", "variable"])
+def test_labels_must_be_text(args, message):
+    with pytest.raises(InvalidInputError) as caught:
+        SweepResult(*args, ((1.0,), (2.0,), (3.0,), (4.0,)))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", ["5", None, 1j])
+def test_csv_rejects_a_value_that_is_not_a_real_number(value):
+    result = SweepResult("r,1", "distance_m", ((1.0, 2.0), (2.0, 3.0), (3.0, value), (4.0, 5.0)))
+    with pytest.raises(InvalidInputError,
+                       match=r"^CSV values of 'r,1' must be real numbers \(.*\)$"):
+        render_results([result], "csv")
+    if not isinstance(value, complex):  # any JSON scalar is written as JSON writes it
+        assert render_results([result], "json") == json_oracle([result])
 
 
 @pytest.fixture(scope="module")

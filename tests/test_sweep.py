@@ -467,8 +467,14 @@ class TestSharedFading:
         rx = sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)])
         stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "",
                                        percentiles=(5, 50, 95))
-        signal_db = 10.0 * np.log10(sweep_module._link_powers(
-            scenario, irs, rx, scenario.fading, where=lambda k, p: "")[0])
+        # under unit fading the mean power is the unit-fading signal, bit for bit
+        unit = sweep_module._evaluate(
+            dataclasses.replace(scenario, fading=FadingModel(mode=FadingMode.DETERMINISTIC)),
+            irs, rx, 40, 3, where=lambda k, p: "")
+        signal = irs_rx_power(scenario.channel, scenario.panel,
+                              distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
+        assert unit.power.tobytes() == signal.tobytes()
+        signal_db = 10.0 * np.log10(signal)
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
         assert stats.sinr_db_stddev.shape == (len(rx),)  # one row for every position
         assert np.all(stats.sinr_db_stddev > 0)
@@ -789,10 +795,9 @@ class TestComparePlacement:
         scenario = dataclasses.replace(
             irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
         rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
-        signal, _ = sweep_module._link_powers(
-            scenario, sweep_module._as_array([scenario.irs]), sweep_module._as_array(rx_positions),
-            scenario.fading, where=lambda k, p: "")
-        assert signal[0, 0] > 0 and signal[0, 1] > 0 and signal[0, 2] == 0
+        signal = irs_rx_power(scenario.channel, scenario.panel, distance(scenario.tx, scenario.irs),
+                              distance(scenario.irs, sweep_module._as_array(rx_positions)))
+        assert signal[0] > 0 and signal[1] > 0 and signal[2] == 0
         with pytest.raises(InvalidInputError,
                            match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
             compare_placement(scenario, [scenario.irs], rx_positions, self.spec)
@@ -941,15 +946,92 @@ class TestFaults:
 
     def test_a_fault_is_found_in_one_pass(self, monkeypatch):
         calls = []
-        link_powers = sweep_module._link_powers
 
-        def counting_link_powers(*args, **kwargs):
-            calls.append(args)
-            return link_powers(*args, **kwargs)
+        def counting_distance(a, b):
+            calls.append((a, b))
+            return distance(a, b)
 
-        monkeypatch.setattr(sweep_module, "_link_powers", counting_link_powers)
+        monkeypatch.setattr(sweep_module, "distance", counting_distance)
         receivers = [Point3(-90.0 + 5.0 * p, 20.0, 1.5) for p in range(36)]
         candidates = [Point3(10.0 + 0.045 * k, -5.0, 10.0) for k in range(1999)]
         with pytest.raises(DegenerateGeometryError, match="r2 = 0"):
             compare_placement(irs_scenario(), candidates + [receivers[-1]], receivers, self.spec)
-        assert len(calls) == 1
+        # one call each for r1, r2 and the interferer reach, not one per pair
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("candidates,error,message", [
+        # the README's example: a 0 W received power, on its own ...
+        ([Point3(5000.0, 0.0, 10.0)], InvalidInputError,
+         "placement (irs=Point3(x=5000.0, y=0.0, z=10.0), rx=Point3(x=70.0, y=0.0, z=1.5)):"
+         " received power 0.0 W is outside the float range; check the link budget"),
+        # ... is reported after a zero leg at a later pair
+        ([Point3(5000.0, 0.0, 10.0), Point3(70.0, 0.0, 1.5)], DegenerateGeometryError,
+         "placement (irs=Point3(x=70.0, y=0.0, z=1.5), rx=Point3(x=70.0, y=0.0, z=1.5)):"
+         " reflector and receiver coincide (r2 = 0)"),
+    ], ids=["zero_power_alone", "zero_leg_at_a_later_pair"])
+    def test_a_zero_leg_comes_before_a_zero_power(self, candidates, error, message):
+        scenario, spec = build_preset("fig2b")
+        scenario = dataclasses.replace(
+            scenario, channel=dataclasses.replace(scenario.channel, tx_power=5e-324))
+        with pytest.raises(error) as caught:
+            compare_placement(scenario, candidates, [Point3(70.0, 0.0, 1.5)],
+                              dataclasses.replace(spec, trials=1))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("receivers,message", [
+        # a 1e308 W interferer 1 mm above the receiver at x=52 ...
+        ([Point3(52.0, 0.0, 1.5)],
+         "placement (rx=Point3(x=52.0, y=0.0, z=1.5)): interference plus noise power inf W"
+         " is outside the float range; check the link budget"),
+        # ... is reported after the 0 W that 1e-314 W underflows to at a later receiver
+        ([Point3(52.0, 0.0, 1.5), Point3(400.0, 0.0, 1.5)],
+         "placement (irs=Point3(x=50.0, y=0.0, z=10.0), rx=Point3(x=400.0, y=0.0, z=1.5)):"
+         " received power 0.0 W is outside the float range; check the link budget"),
+    ], ids=["infinite_interference_alone", "zero_power_at_a_later_receiver"])
+    def test_a_zero_power_comes_before_infinite_interference(self, receivers, message):
+        scenario, spec = build_preset("fig2b")
+        channel = dataclasses.replace(scenario.channel, tx_power=1e-314)
+        hot = InterfererSet.modeled([(dataclasses.replace(channel, tx_power=1e308),
+                                      Point3(52.0, 0.0, 1.5 + 1e-3))])
+        scenario = dataclasses.replace(scenario, channel=channel, interference=hot)
+        with pytest.raises(InvalidInputError) as caught:
+            compare_placement(scenario, [scenario.irs], receivers,
+                              dataclasses.replace(spec, trials=1))
+        assert type(caught.value) is InvalidInputError
+        assert str(caught.value) == message
+
+
+TRACED = ("distance", "irs_rx_power", "conventional_rx_power", "sample_fading_block")
+
+
+@pytest.mark.parametrize("run,expected", [
+    (lambda spec: run_distance_sweep(irs_scenario(fading=FadingModel(
+        mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=2)), spec), (3, 1, 0, 1)),
+    (lambda spec: run_distance_sweep(conventional_scenario(), spec), (2, 0, 1, 1)),
+    (lambda spec: compare_placement(
+        dataclasses.replace(irs_scenario(fading=FadingModel(
+            mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=2)), interference=two_interferers()),
+        [Point3(20.0, 0.0, 10.0), Point3(30.0, 5.0, 10.0)],
+        [Point3(20.0, 5.0, 1.5), Point3(60.0, 5.0, 1.5)], spec), (3, 1, 2, 2)),
+], ids=["rayleigh_irs_sweep", "conventional_sweep", "placement_two_interferers"])
+def test_calls_the_tracer_counts(monkeypatch, run, expected):
+    """bench/tracer.py counts the geometry, power and fading layers by replacing
+    these ``irssim.sweep`` attributes, so the kernel looks each up when it calls
+    it. One kernel call makes one ``distance`` call per leg plus one for the
+    interferer reach (with no interferers too), one power call for the signal
+    rows and one per modeled interferer, and one draw call per fading chunk plus
+    one for the interferer gains. A local alias would make a layer read 0."""
+    calls = dict.fromkeys(TRACED, 0)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in TRACED:
+        monkeypatch.setattr(sweep_module, name, counting(name, getattr(sweep_module, name)))
+    # 10 receivers x 50 trials fit one fading chunk
+    run(SweepSpec(start=5.0, stop=95.0, steps=10, trials=50, seed=2))
+    assert tuple(calls.values()) == expected
