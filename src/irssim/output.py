@@ -3,10 +3,11 @@
 Both formats are pinned byte for byte, and both read each result's stored
 columns (:attr:`SweepResult.columns`, four of one length, as the result
 checks when it is built) with no transposition and no per-row Python work:
-one ``%`` template per result takes the values row by row from
-``zip(*columns)``. Each document is then assembled from its pieces by one
-``str.join``, so the finished text is built once and not copied again, and
-:func:`emit_results` writes it in one call:
+CSV fills one ``%`` template per result row by row from ``zip(*columns)``,
+and JSON joins each result's rows from its column tokens with ``str.join``.
+Each document is then assembled from its pieces by one ``str.join``, so the
+finished text is built once and not copied again, and :func:`emit_results`
+writes it in one call:
 
 * JSON is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the list of
   ``{"label", "variable", "metadata", "rows"}`` objects. ``json.dumps`` writes
@@ -19,7 +20,9 @@ one ``%`` template per result takes the values row by row from
   a compact ``json.dumps`` call with a newline as item separator, each token
   exactly as ``indent=2`` writes it (``NaN`` and ``Infinity`` included), and a
   newline never occurs inside a token, so splitting on it recovers one token
-  per value. A column that repeats the same column of the previous result
+  per value. Each row is its four tokens joined by the text ``indent=2`` puts
+  between two values, and the rows are joined by the text it puts between two
+  rows. A column that repeats the same column of the previous result
   bit for bit (every value exactly a ``float`` and the two columns' IEEE 754
   bytes equal, so ``-0.0`` against ``0.0``, ``1`` or ``True`` against ``1.0``
   and two NaN objects never match) takes that result's tokens instead: the
@@ -40,7 +43,7 @@ import json
 from array import array
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Tuple, Union
 
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
@@ -49,8 +52,10 @@ CSV_HEADER = "scenario,x,rx_power_dbm,sinr_db,sinr_db_stddev"
 
 Destination = Union[str, Path, IO[str]]
 
-# one row of the "rows" array as json.dumps(indent=2) writes it at nesting level 3
-_JSON_ROW = "      [\n        %s,\n        %s,\n        %s,\n        %s\n      ]"
+# the text between two values of a row, and between two rows, of a "rows"
+# array as json.dumps(indent=2) writes it at nesting level 3
+_JSON_VALUE_BREAK = ",\n        "
+_JSON_ROW_BREAK = "\n      ],\n      [\n        "
 
 
 def _csv_field(text: str) -> str:
@@ -77,14 +82,20 @@ def _encode(column: tuple) -> list:
 
 
 def _same_bits(column: tuple, previous: tuple) -> bool:
-    """Whether two columns hold the same floats bit for bit, and so the same tokens."""
+    """Whether two columns hold the same floats bit for bit, and so the same tokens.
+
+    Once the columns are equal and hold only floats, their bits can differ
+    only where ``0.0`` meets ``-0.0`` (a NaN equals only itself, the same
+    object), so the bytes are compared only when the column holds a zero.
+    """
     return (column == previous
             and set(map(type, chain(column, previous))) == {float}
-            and array("d", column).tobytes() == array("d", previous).tobytes())
+            and (0.0 not in column
+                 or array("d", column).tobytes() == array("d", previous).tobytes()))
 
 
-def _json_rows(results: Iterable[SweepResult]) -> Iterator[str]:
-    """Each result's rows array at nesting level 2.
+def _json_rows(results: Iterable[SweepResult]) -> Iterator[Tuple[str, ...]]:
+    """Each result's rows array at nesting level 2, as pieces to be joined.
 
     A column that repeats the previous result's column bit for bit takes that
     result's tokens, and only the other columns are encoded.
@@ -97,9 +108,12 @@ def _json_rows(results: Iterable[SweepResult]) -> Iterator[str]:
         del tokens  # the previous result's tokens go before this result's are made
         tokens = [_encode(column) if same is None else same
                   for column, same in zip(columns, reused)]
-        count = len(columns[0])
-        template = "[\n" + ",\n".join([_JSON_ROW] * count) + "\n    ]" if count else "[]"
-        yield template % tuple(chain.from_iterable(zip(*tokens)))
+        if not columns[0]:
+            yield ("[]",)
+            continue
+        yield ("[\n      [\n        ",
+               _JSON_ROW_BREAK.join(map(_JSON_VALUE_BREAK.join, zip(*tokens))),
+               "\n      ]\n    ]")
 
 
 def render_results(results: Iterable[SweepResult], fmt: str) -> str:
@@ -120,7 +134,7 @@ def render_results(results: Iterable[SweepResult], fmt: str) -> str:
         heads = json.dumps(payload, indent=2).split('"rows": 0\n  }')
         pieces = [heads[0]]
         for rows, head in zip(_json_rows(results), heads[1:]):
-            pieces += ('"rows": ', rows, "\n  }", head)
+            pieces += ('"rows": ', *rows, "\n  }", head)
         pieces.append("\n")
         return "".join(pieces)
     raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")

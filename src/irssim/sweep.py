@@ -146,14 +146,25 @@ class SweepSpec:
         steps = _integer("sweep steps", self.steps)
         if steps < 2:
             raise InvalidInputError(f"sweep steps must be >= 2, got {steps!r}")
+        # the grid increases with i, so its last point is its largest
+        last = self.start + (steps - 1) * ((self.stop - self.start) / (steps - 1))
+        if not math.isfinite(last):
+            raise InvalidInputError(
+                f"sweep grid from start {self.start!r} to stop {self.stop!r} in {steps} steps"
+                f" leaves the float range: its last point is {float(last)!r}")
         trials, seed = _check_trials_and_seed(self.trials, self.seed)
         # kept as Python ints, so no numpy scalar reaches the metadata
         for name, value in (("steps", steps), ("trials", trials), ("seed", seed)):
             object.__setattr__(self, name, value)
 
     def grid(self) -> List[float]:
+        """The points start + i*step, as Python floats."""
+        return self._points().tolist()
+
+    def _points(self) -> np.ndarray:
+        # bit for bit the Python floats start + i * step
         step = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + i * step for i in range(self.steps)]
+        return self.start + np.arange(self.steps) * step
 
 
 @dataclass(frozen=True)
@@ -461,7 +472,8 @@ def _sweeps(
     """One distance sweep per panel, all scored in one kernel call."""
     if not panels:
         return []
-    grid = spec.grid()
+    points = spec._points()
+    grid = points.tolist()
     if grid[0] <= 0:
         raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
 
@@ -472,7 +484,9 @@ def _sweeps(
 
     irs = _irs_of(scenario)
     origin = _as_array([scenario.tx]) if irs is None else irs
-    rx = origin + np.asarray(grid)[:, None] * _X_AXIS
+    # a position beyond the float range is reported by the kernel, not warned about
+    with np.errstate(all="ignore"):
+        rx = origin + points[:, None] * _X_AXIS
     stats = _evaluate(scenario, irs, rx, spec.trials, spec.seed, where=where, panels=panels)
     # the curves share one grid tuple and one stddev tuple
     grid, stddev = tuple(grid), tuple(stats.sinr_db_stddev.tolist())

@@ -190,12 +190,20 @@ def dense_preset_sweeps():
             for scenario, spec in map(build_preset, PRESET_NAMES)]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_document_is_not_copied_once_rendered(dense_preset_sweeps, fmt):
-    """The peak is the document's pieces and their one join, not a further copy."""
+@pytest.mark.parametrize("sweeps,fmt", [
+    ("dense_preset_sweeps", "csv"), ("dense_preset_sweeps", "json"),
+    ("figure_sweeps", "csv"), ("figure_sweeps", "json"),
+], ids=["csv", "json", "rayleigh-csv", "rayleigh-json"])
+def test_document_is_not_copied_once_rendered(request, sweeps, fmt):
+    """The peak is the document's pieces and their one join, not a further copy.
+
+    The Rayleigh figure_sweeps document has the longest tokens (about 18
+    characters), so its joined JSON rows are the largest pieces.
+    """
+    results = request.getfixturevalue(sweeps)
     tracemalloc.start()
     try:
-        text = render_results(dense_preset_sweeps, fmt)
+        text = render_results(results, fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -248,6 +256,14 @@ def repeating_results(draw):
 @settings(max_examples=300, deadline=None)
 @given(repeating_results())
 def test_json_of_repeated_columns_matches_json_dumps(results):
+    assert render_results(results, "json") == json_oracle(results)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_column_that_differs_only_in_a_zero_sign_is_encoded_again(zero):
+    """Equal float columns differ in bits only where a zero's sign differs."""
+    results = [SweepResult("r", "distance_m", ((x, 1.0), (2.0, x), (3.0, 4.0), (5.0, 6.0)))
+               for x in (zero, -zero)]
     assert render_results(results, "json") == json_oracle(results)
 
 

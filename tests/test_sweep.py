@@ -7,9 +7,11 @@ import operator
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from irssim import (
     ChannelParams,
@@ -87,6 +89,42 @@ class TestSweepSpec:
         step = (100.0 - 5.0) / 95
         for i, x in enumerate(grid):
             assert x == 5.0 + i * step
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-2 ** 80, 2 ** 80), st.integers(-100, 100)),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(2, 3000))
+    @example(-1.7976931348623157e308, 0.0, 3000)
+    @example(-7, 5e-324, 2)
+    def test_grid_is_start_plus_i_step_bit_for_bit(self, start, stop, steps):
+        """The grid is the Python floats start + i*step in IEEE 754 bytes; a grid
+        whose last (largest) point leaves the float range is rejected."""
+        assume(start < stop)
+        step = (stop - start) / (steps - 1)
+        expected = [start + i * step for i in range(steps)]
+        if not math.isfinite(expected[-1]):
+            with pytest.raises(InvalidInputError) as caught:
+                SweepSpec(start=start, stop=stop, steps=steps)
+            assert str(caught.value) == (
+                f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
+                f" leaves the float range: its last point is {expected[-1]!r}")
+            return
+        grid = SweepSpec(start=start, stop=stop, steps=steps).grid()
+        assert all(type(x) is float for x in grid)
+        assert array("d", grid).tobytes() == array("d", expected).tobytes()
+
+    @pytest.mark.parametrize("start,stop,steps", [
+        (1e-3, 1.7976931348623157e308, 4),  # the last point rounds to inf
+        (-1e308, 1e308, 3),  # the span overflows: [nan, inf, inf]
+        (-1.7976931348623157e308, 1.7976931348623157e308, 2),
+    ])
+    def test_grid_beyond_the_float_range_rejected(self, start, stop, steps):
+        with pytest.raises(InvalidInputError) as caught:
+            SweepSpec(start=start, stop=stop, steps=steps)
+        assert str(caught.value) == (
+            f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
+            " leaves the float range: its last point is inf")
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -256,6 +294,12 @@ class TestDistanceSweep:
     def test_nonpositive_start_rejected(self):
         with pytest.raises(InvalidInputError):
             run_distance_sweep(conventional_scenario(), SweepSpec(start=0.0, stop=10.0, steps=3))
+
+    def test_receiver_beyond_the_float_range_named(self):
+        # the grid is finite, but 1e308 past a reflector at x = 1e308 is not
+        scenario = irs_scenario(irs=Point3(1e308, 0, 10))
+        with pytest.raises(InvalidInputError, match=r"^sweep point x=1e\+307: received power 0\.0 W"):
+            run_distance_sweep(scenario, SweepSpec(start=1e307, stop=1e308, steps=2))
 
     def test_degenerate_point_names_x(self):
         scenario = irs_scenario(irs=Point3(0, 0, 10))  # coincides with tx
