@@ -3,8 +3,8 @@
 Both formats are pinned byte for byte, and both read each result's stored
 columns (:attr:`SweepResult.columns`, four of one length, as the result
 checks when it is built) with no transposition and no per-row Python work:
-CSV fills one ``%`` template per result row by row from ``zip(*columns)``,
-and JSON joins each result's rows from its column tokens with ``str.join``.
+CSV fills a ``%`` template per result from its values taken row by row, and
+JSON joins each result's rows from its column tokens with ``str.join``.
 Each document is then assembled from its pieces by one ``str.join``, so the
 finished text is built once and not copied again, and :func:`emit_results`
 writes it in one call:
@@ -34,7 +34,15 @@ writes it in one call:
 * CSV writes each row as ``label,x,rx_power_dbm,sinr_db,sinr_db_stddev`` with
   the values formatted ``%.6f``. The label is quoted the way ``csv.writer``
   quotes a field under ``QUOTE_MINIMAL``; a label without a comma, quote or
-  line break is written as it is.
+  line break is written as it is. CSV reuses by the same rule as JSON, but
+  through a row template rather than tokens: each result fills a label-free
+  template that holds the ``%.6f`` texts of the columns repeating the previous
+  result's, each formatted by one ``%`` call, and a ``%.6f`` slot for each
+  other value (a result with nothing to repeat, such as the first, fills slots
+  only). Only that template string is kept, not the texts it was made of, and
+  only while the following results repeat the same columns; each result fills
+  its slots with one ``%`` call, and its label is put in front of each row
+  afterwards, so it needs no ``%`` escaping.
 """
 
 from __future__ import annotations
@@ -65,24 +73,8 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_rows(result: SweepResult) -> str:
-    columns = result.columns
-    row = _csv_field(result.scenario_label).replace("%", "%%") + ",%.6f,%.6f,%.6f,%.6f"
-    try:
-        return "\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
-    except TypeError as exc:  # a value %f cannot format
-        raise InvalidInputError(
-            f"CSV values of {result.scenario_label!r} must be real numbers ({exc})") from None
-
-
-def _encode(column: tuple) -> list:
-    """The JSON token of each value, from one compact ``json.dumps`` call."""
-    text = json.dumps(column, separators=("\n", ":"))[1:-1]
-    return text.split("\n") if text else []
-
-
 def _same_bits(column: tuple, previous: tuple) -> bool:
-    """Whether two columns hold the same floats bit for bit, and so the same tokens.
+    """Whether two columns hold the same floats bit for bit, and so the same tokens and texts.
 
     Once the columns are equal and hold only floats, their bits can differ
     only where ``0.0`` meets ``-0.0`` (a NaN equals only itself, the same
@@ -92,6 +84,61 @@ def _same_bits(column: tuple, previous: tuple) -> bool:
             and set(map(type, chain(column, previous))) == {float}
             and (0.0 not in column
                  or array("d", column).tobytes() == array("d", previous).tobytes()))
+
+
+def _interleaved(columns: list, rows: int) -> tuple:
+    """The values of ``columns`` row by row, as the arguments of one ``%`` call."""
+    flat = [None] * (len(columns) * rows)
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    return tuple(flat)
+
+
+def _csv_texts(column: tuple) -> list:
+    """The ``%.6f`` text of each value of a float column, from one ``%`` call."""
+    return ("%.6f\n" * len(column) % column).split()
+
+
+def _csv_template(columns: tuple, same: tuple) -> str:
+    """Label-free rows, each after a newline: the ``%.6f`` texts of each column
+    marked in ``same``, and a ``%.6f`` slot for each value of the others."""
+    pieces = ["\n", "%.6f", ",", "%.6f", ",", "%.6f", ",", "%.6f"] * len(columns[0])
+    for j, column in enumerate(columns):
+        if same[j]:
+            pieces[2 * j + 1::8] = _csv_texts(column)
+    return "".join(pieces)
+
+
+def _csv_rows(results: Iterable[SweepResult]) -> Iterator[str]:
+    """Each result's rows, each after a newline, as one text per result with rows.
+
+    The columns that repeat the previous result's bit for bit are written once
+    into a row template, kept while the following results repeat the same
+    columns with as many rows; each result fills in only its other columns,
+    and its label is put in front of each row afterwards.
+    """
+    columns, kept, template = ((),) * 4, None, ""
+    for result in results:
+        previous, columns = columns, result.columns
+        rows = len(columns[0])
+        if not rows:
+            continue
+        same = tuple(map(_same_bits, columns, previous))
+        if (same, rows) != kept:
+            kept, template = (same, rows), _csv_template(columns, same)
+        fresh = [column for column, repeated in zip(columns, same) if not repeated]
+        try:
+            body = template % _interleaved(fresh, rows)
+        except TypeError as exc:  # a value %f cannot format
+            raise InvalidInputError(
+                f"CSV values of {result.scenario_label!r} must be real numbers ({exc})") from None
+        yield body.replace("\n", "\n" + _csv_field(result.scenario_label) + ",")
+
+
+def _encode(column: tuple) -> list:
+    """The JSON token of each value, from one compact ``json.dumps`` call."""
+    text = json.dumps(column, separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
 
 
 def _json_rows(results: Iterable[SweepResult]) -> Iterator[Tuple[str, ...]]:
@@ -126,8 +173,7 @@ def render_results(results: Iterable[SweepResult], fmt: str) -> str:
     if bad:
         raise InvalidInputError("results[%d] must be a SweepResult, got %s" % bad[0])
     if fmt == "csv":
-        blocks = [_csv_rows(result) for result in results if result.columns[0]]
-        return "\n".join([CSV_HEADER, *blocks, ""])
+        return "".join([CSV_HEADER, *_csv_rows(results), "\n"])
     if fmt == "json":
         payload = [{"label": result.scenario_label, "variable": result.variable_name,
                     "metadata": result.metadata, "rows": 0} for result in results]

@@ -136,35 +136,50 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(_real("sweep start", self.start))
-                and math.isfinite(_real("sweep stop", self.stop))):
+        # kept as Python floats before any arithmetic, so numpy float bounds
+        # overflow to inf without a warning, as Python floats do
+        start, stop = (float(_real(f"sweep {name}", getattr(self, name)))
+                       for name in ("start", "stop"))
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise InvalidInputError(
-                f"sweep start and stop must be finite, got [{self.start!r}, {self.stop!r}]")
-        if not (self.start < self.stop):
-            raise InvalidInputError(
-                f"sweep start must be < stop, got [{self.start!r}, {self.stop!r}]")
+                f"sweep start and stop must be finite, got [{start!r}, {stop!r}]")
+        if not (start < stop):
+            raise InvalidInputError(f"sweep start must be < stop, got [{start!r}, {stop!r}]")
         steps = _integer("sweep steps", self.steps)
         if steps < 2:
             raise InvalidInputError(f"sweep steps must be >= 2, got {steps!r}")
-        # the grid increases with i, so its last point is its largest
-        last = self.start + (steps - 1) * ((self.stop - self.start) / (steps - 1))
-        if not math.isfinite(last):
-            raise InvalidInputError(
-                f"sweep grid from start {self.start!r} to stop {self.stop!r} in {steps} steps"
-                f" leaves the float range: its last point is {float(last)!r}")
-        trials, seed = _check_trials_and_seed(self.trials, self.seed)
-        # kept as Python ints, so no numpy scalar reaches the metadata
-        for name, value in (("steps", steps), ("trials", trials), ("seed", seed)):
+        # kept as Python numbers, so no numpy scalar reaches the metadata
+        for name, value in (("start", start), ("stop", stop), ("steps", steps)):
             object.__setattr__(self, name, value)
+        grid = f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
+        # the grid does not decrease with i, so its last point is its largest
+        last = start + (steps - 1) * self._step
+        if not math.isfinite(last):
+            raise InvalidInputError(f"{grid} leaves the float range: its last point is {last!r}")
+        trials, seed = _check_trials_and_seed(self.trials, self.seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        # a step below the float spacing rounds neighbouring points together;
+        # the grid built here is built again by grid(), but it is one float a
+        # point, small next to the four columns a sweep of it returns
+        points = self._points()
+        repeats = np.flatnonzero(points[1:] <= points[:-1])
+        if repeats.size:
+            raise InvalidInputError(
+                f"{grid} repeats points: its step {self._step!r} is below the float spacing"
+                f" at {float(points[repeats[0]])!r}")
 
     def grid(self) -> List[float]:
         """The points start + i*step, as Python floats."""
         return self._points().tolist()
 
+    @property
+    def _step(self) -> float:
+        return (self.stop - self.start) / (self.steps - 1)
+
     def _points(self) -> np.ndarray:
         # bit for bit the Python floats start + i * step
-        step = (self.stop - self.start) / (self.steps - 1)
-        return self.start + np.arange(self.steps) * step
+        return self.start + np.arange(self.steps) * self._step
 
 
 @dataclass(frozen=True)

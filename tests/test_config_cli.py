@@ -685,6 +685,16 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: sweep: sweep start and stop must be finite, got [5.0, inf]\n")
 
+    def test_sweep_rejects_a_grid_that_repeats_points(self, capsys):
+        """A step below the float spacing at start would write rows with equal x."""
+        assert main(["sweep", "--preset", "fig1", "--start", "1e16",
+                     "--stop", "1.0000000000000002e16", "--steps", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep grid from start 1e+16 to stop 1.0000000000000002e+16 in 5 steps"
+            " repeats points: its step 0.5 is below the float spacing at 1e+16\n")
+
     @pytest.mark.parametrize("changes,power", [
         ({"tx_power_dbm = 30": "tx_power_dbm = -3200"}, "0.0"),
         ({"tx_power_dbm = 30": "tx_power_dbm = 3070", "_gain_dbi = 10": "_gain_dbi = 200"}, "inf"),

@@ -259,6 +259,69 @@ def test_json_of_repeated_columns_matches_json_dumps(results):
     assert render_results(results, "json") == json_oracle(results)
 
 
+@settings(max_examples=300, deadline=None)
+@given(repeating_results())
+def test_csv_of_repeated_columns_matches_per_row_renderer(results):
+    if any(type(value) is str for result in results for column in result.columns
+           for value in column):  # the "str" tweak
+        with pytest.raises(InvalidInputError, match="must be real numbers"):
+            render_results(results, "csv")
+        return
+    assert render_results(results, "csv") == csv_oracle(results)
+
+
+def chain_of(label, *columns):
+    return SweepResult(label, "distance_m", columns)
+
+
+ROWS = (0.0, -0.0, 1.0, 1e16, math.inf)
+OTHER = (-1.0, 2.0, 0.1, math.nan, -math.inf)
+REPEATED_COLUMNS = {
+    **{f"column {j} repeated": [chain_of(f"r{k}", *(ROWS if i == j else (float(k + i),) * 5
+                                                     for i in range(4)))
+                                for k in range(3)]
+       for j in range(4)},
+    "all four repeated": [chain_of(f"r{k}", ROWS, OTHER, ROWS, OTHER) for k in range(3)],
+    # the template of x and stddev serves two results, then only x repeats
+    "a chain of three then a break": [
+        chain_of("a", ROWS, OTHER, OTHER, ROWS), chain_of("b", ROWS, ROWS, ROWS, ROWS),
+        chain_of("c", ROWS, OTHER, OTHER, ROWS), chain_of("d", ROWS, ROWS, OTHER, OTHER),
+        chain_of("e", ROWS, ROWS, OTHER, OTHER)],
+    "an empty result inside a chain": [
+        chain_of("a", ROWS, OTHER, OTHER, ROWS), chain_of("b", ROWS, ROWS, OTHER, ROWS),
+        chain_of("empty", (), (), (), ()), chain_of("c", ROWS, OTHER, ROWS, ROWS),
+        chain_of("d", ROWS, ROWS, ROWS, ROWS)],
+    # nothing repeats from one result to the next, and the row count changes
+    "nothing repeats, rows of other lengths": [
+        chain_of("a", OTHER, ROWS, OTHER, ROWS), chain_of("b", ROWS, OTHER, ROWS, OTHER),
+        chain_of("c", OTHER[:3], ROWS[:3], OTHER[:3], ROWS[:3]),
+        chain_of("d", ROWS[:3], OTHER[:3], ROWS[:3], OTHER[:3]),
+        chain_of("e", OTHER, ROWS, OTHER, ROWS)],
+    # a column that compares equal to the previous one with other bits or types
+    "near values": [
+        chain_of("a", (0.0, 1.0, math.nan), (1.0, 1.0, 3.0), OTHER[:3], OTHER[:3]),
+        chain_of("b", (-0.0, 1.0, math.nan), (1, True, 3.0), OTHER[:3], OTHER[:3]),
+        chain_of("c", (-0.0, 1.0, float("nan")), (1, True, 3.0), OTHER[:3], OTHER[:3]),
+        chain_of("d", (-0.0, 1.0, float("nan")), (1.0, 1.0, 3.0), OTHER[:3], OTHER[:3])],
+    "a label with %": [chain_of(label, ROWS, OTHER, OTHER, ROWS)
+                       for label in ("50% load", "%s", "%(x)s%%", "%.6f")],
+}
+
+
+@pytest.mark.parametrize("results", REPEATED_COLUMNS.values(), ids=REPEATED_COLUMNS)
+def test_repeated_column_patterns_match_the_oracles(results):
+    assert render_results(results, "csv") == csv_oracle(results)
+    assert render_results(results, "json") == json_oracle(results)
+
+
+def test_csv_of_repeated_columns_quotes_a_label_with_a_newline():
+    results = [chain_of(label, ROWS, OTHER, OTHER, ROWS)
+               for label in ("plain", 'two\nlines, "quoted"', "cr\r%", "plain")]
+    table = list(csv.reader(io.StringIO(render_results(results, "csv"), newline="")))
+    assert table[1:] == [[result.scenario_label, *(f"{v:.6f}" for v in row)]
+                         for result in results for row in zip(*result.columns)]
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_a_column_that_differs_only_in_a_zero_sign_is_encoded_again(zero):
     """Equal float columns differ in bits only where a zero's sign differs."""
@@ -317,6 +380,29 @@ def test_repeated_columns_are_encoded_once(figure_sweeps, monkeypatch):
 def test_angle_sweep_repeated_columns_are_encoded_once(angle_sweeps, monkeypatch):
     """The four angle pairs share the x grid and the SINR stddev column."""
     assert encoded_values(angle_sweeps, monkeypatch) == 400 * 4 + 3 * 400 * 2 == 4_000
+
+
+def formatted_columns(results, monkeypatch):
+    """The columns ``output._csv_texts`` formats to render ``results`` as CSV."""
+    formatted = []
+
+    def texts(column):
+        formatted.append(column)
+        return csv_texts(column)
+
+    csv_texts = output._csv_texts
+    monkeypatch.setattr(output, "_csv_texts", texts)
+    assert render_results(results, "csv") == csv_oracle(results)
+    return formatted
+
+
+def test_repeated_csv_columns_are_formatted_once(figure_sweeps, monkeypatch):
+    """fig2a-d repeat fig1's x and stddev columns, so one template holds their
+    texts for the whole document, and a single result has nothing to repeat."""
+    x, _, _, stddev = figure_sweeps[1].columns
+    assert formatted_columns(figure_sweeps, monkeypatch) == [x, stddev]
+    for result in figure_sweeps:
+        assert formatted_columns([result], monkeypatch) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

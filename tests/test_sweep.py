@@ -99,16 +99,21 @@ class TestSweepSpec:
     @example(-7, 5e-324, 2)
     def test_grid_is_start_plus_i_step_bit_for_bit(self, start, stop, steps):
         """The grid is the Python floats start + i*step in IEEE 754 bytes; a grid
-        whose last (largest) point leaves the float range is rejected."""
+        whose last (largest) point leaves the float range, or whose points do
+        not strictly increase, is rejected."""
         assume(start < stop)
-        step = (stop - start) / (steps - 1)
+        step = (float(stop) - float(start)) / (steps - 1)
         expected = [start + i * step for i in range(steps)]
-        if not math.isfinite(expected[-1]):
+        grid = f"sweep grid from start {float(start)!r} to stop {float(stop)!r} in {steps} steps"
+        repeats = [x for x, following in zip(expected, expected[1:]) if following <= x]
+        if not math.isfinite(expected[-1]) or repeats:
             with pytest.raises(InvalidInputError) as caught:
                 SweepSpec(start=start, stop=stop, steps=steps)
             assert str(caught.value) == (
-                f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
-                f" leaves the float range: its last point is {expected[-1]!r}")
+                f"{grid} leaves the float range: its last point is {expected[-1]!r}"
+                if not math.isfinite(expected[-1]) else
+                f"{grid} repeats points: its step {step!r} is below the float spacing"
+                f" at {repeats[0]!r}")
             return
         grid = SweepSpec(start=start, stop=stop, steps=steps).grid()
         assert all(type(x) is float for x in grid)
@@ -125,6 +130,32 @@ class TestSweepSpec:
         assert str(caught.value) == (
             f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
             " leaves the float range: its last point is inf")
+
+    @pytest.mark.parametrize("start,stop,steps,step,at", [
+        (1e16, 1.0000000000000002e16, 5, 0.5, 1e16),  # 1e16 three times, then 1e16 + 2
+        (5e-324, 1e-323, 4, 0.0, 5e-324),  # the step rounds to 0: [5e-324] * 4
+        # the last two points round to -1.0
+        (-1.0000000000000002, -1.0, 3, 1.1102230246251565e-16, -1.0),
+    ])
+    def test_grid_that_repeats_points_rejected(self, start, stop, steps, step, at):
+        with pytest.raises(InvalidInputError) as caught:
+            SweepSpec(start=start, stop=stop, steps=steps)
+        assert str(caught.value) == (
+            f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
+            f" repeats points: its step {step!r} is below the float spacing at {at!r}")
+
+    def test_numpy_float_bounds_are_kept_as_python_floats(self):
+        """Their span overflows to inf as a Python float's does, with no numpy
+        RuntimeWarning (an error under this suite's warning filter) first."""
+        with pytest.raises(InvalidInputError) as caught:
+            SweepSpec(np.float64(-1e308), np.float64(1e308), 3)
+        assert str(caught.value) == (
+            "sweep grid from start -1e+308 to stop 1e+308 in 3 steps"
+            " leaves the float range: its last point is inf")
+        spec = SweepSpec(np.float32(1.5), np.float64(2.5), 3)
+        assert (spec.start, spec.stop) == (1.5, 2.5)
+        assert type(spec.start) is float and type(spec.stop) is float
+        assert spec.grid() == [1.5, 2.0, 2.5]
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
