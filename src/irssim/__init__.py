@@ -16,21 +16,19 @@ from irssim.channel import (
 )
 from irssim.sinr import InterfererSet, thermal_noise_watts
 from irssim.sweep import (
-    MonteCarloStats,
     PlacementEntry,
     PlacementReport,
     Scenario,
     SweepResult,
     SweepSpec,
     compare_placement,
-    monte_carlo_stats,
     run_angle_sweep,
     run_distance_sweep,
 )
 from irssim.config import PRESET_NAMES, build_preset, parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.17.3"
+__version__ = "0.18.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

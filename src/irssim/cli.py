@@ -87,7 +87,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             result = run_distance_sweep(*_apply_overrides(scenario, spec, args))
             emit_results([result], args.format, args.out if args.out else sys.stdout)
         return 0
-    except (SimulatorError, OSError) as exc:
+    except (SimulatorError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
-"""Scenario definition and the sweep / Monte-Carlo engine.
+"""Scenario definition and the sweep engine.
 
-Every entry point (distance and angle sweeps, placement ranking, Monte-Carlo
-statistics) is one call of the array kernel :func:`_evaluate`, which scores
-signal rows against P receivers over T fading trials; its docstring states
+Every entry point (distance and angle sweeps, placement ranking) is one call
+of the array kernel :func:`_evaluate`, which scores signal rows against P
+receivers over T fading trials; its docstring states
 the noise-plus-interference power and the order of the faults it reports. A
 row is one panel at one reflector position: a placement search has a row per
 candidate position, an angle sweep a row per (theta_t, theta_r) pair. The
@@ -118,13 +118,6 @@ class Scenario:
         object.__setattr__(self, "assumptions", tuple(assumptions))
 
 
-def _check_trials_and_seed(trials: int, seed: int) -> Tuple[int, int]:
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
-    return trials, _seed(seed)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Uniform sweep grid plus Monte-Carlo repetition count and seed."""
@@ -152,13 +145,19 @@ class SweepSpec:
         for name, value in (("start", start), ("stop", stop), ("steps", steps)):
             object.__setattr__(self, name, value)
         grid = f"sweep grid from start {start!r} to stop {stop!r} in {steps} steps"
+        # a float64 holds every index below 2**53 exactly, and no host holds
+        # such a grid; checked before anything is built
+        if steps > 2**53:
+            raise InvalidInputError(f"{grid} has too many points: steps must be <= 2**53")
         # the grid does not decrease with i, so its last point is its largest
         last = start + (steps - 1) * self._step
         if not math.isfinite(last):
             raise InvalidInputError(f"{grid} leaves the float range: its last point is {last!r}")
-        trials, seed = _check_trials_and_seed(self.trials, self.seed)
+        trials = _integer("trials", self.trials)
+        if trials < 1:
+            raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
         # a step below the float spacing rounds neighbouring points together;
         # the grid built here is built again by grid(), but it is one float a
         # point, small next to the four columns a sweep of it returns
@@ -214,17 +213,6 @@ class SweepResult:
         return tuple(zip(*self.columns))
 
 
-@dataclass(frozen=True)
-class MonteCarloStats:
-    mean_sinr_db: float
-    stddev_sinr_db: float
-    p5_sinr_db: float
-    p95_sinr_db: float
-    mean_rx_power_w: float
-    trials: int
-    seed: int
-
-
 class PlacementEntry(NamedTuple):
     """One candidate reflector position, with its SINR at each receiver and
     the worst, mean and best of them."""
@@ -251,7 +239,14 @@ class _LinkStats(NamedTuple):
     power: np.ndarray  # (R, P) mean received power, W
     sinr_db: np.ndarray  # (R, P) mean of the per-trial SINR in dB
     sinr_db_stddev: np.ndarray  # (P,) population stddev of the per-trial SINR in dB
-    percentiles: np.ndarray  # (Q, R, P) per-trial SINR percentiles in dB
+
+
+def _check_arguments(scenario: Scenario, spec: SweepSpec) -> None:
+    """An InvalidInputError that names the argument unless ``scenario`` is a
+    Scenario and ``spec`` a SweepSpec."""
+    for name, value, kind in (("scenario", scenario, Scenario), ("spec", spec, SweepSpec)):
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _read(values: Iterable, name: str, size: Optional[int] = None) -> tuple:
@@ -295,7 +290,6 @@ def _evaluate(
     trials: int,
     seed: int,
     where: Callable[[Optional[int], int], str],
-    percentiles: Sequence[float] = (),
     panels: Optional[Sequence[IrsPanel]] = None,
 ) -> _LinkStats:
     """Link statistics of A panels (by default the scenario's own) at K
@@ -366,41 +360,33 @@ def _evaluate(
         denominator += scenario.channel.noise_power
     check_range(signal, "received power")
     check_range(denominator, "interference plus noise power")
-    mean_gain, fade_db, stddev, fade_percentiles = _fading_statistics(
-        fading, denominator, trials, percentiles)
+    mean_gain, fade_db, stddev = _fading_statistics(fading, denominator, trials)
     with np.errstate(all="ignore"):
         power = signal * mean_gain
     check_range(power, "mean received power")
 
     # then shift by each row's unit-fading signal, (R, P) work
-    signal_db = 10.0 * np.log10(signal)
-    return _LinkStats(
-        power=power,
-        sinr_db=signal_db + fade_db,
-        sinr_db_stddev=stddev,
-        percentiles=signal_db + fade_percentiles[:, None, :],
-    )
+    return _LinkStats(power=power, sinr_db=10.0 * np.log10(signal) + fade_db,
+                      sinr_db_stddev=stddev)
 
 
 def _fading_statistics(
     fading: FadingModel,
     denominator: np.ndarray,
     trials: int,
-    percentiles: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-receiver statistics of the fading draws, shapes (P,), (P,), (P,), (Q, P).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-receiver statistics of the fading draws, each of shape (P,).
 
     The draws and the noise-plus-interference power ``denominator`` depend on
     the receiver only, so the trial part of the per-trial SINR in dB,
     10*log10(gain / denominator), is shared by every reflector position: it
-    is reduced over the trials once per receiver, to the mean gain, the mean
-    and population stddev of that dB term, and its percentiles.
+    is reduced over the trials once per receiver, to the mean gain and the
+    mean and population stddev of that dB term.
     """
     p_count = len(denominator)
     mean_gain = np.empty(p_count)
     fade_db = np.empty(p_count)
     stddev = np.empty(p_count)
-    fade_percentiles = np.empty((len(percentiles), p_count))
     step = max(1, _CHUNK_ELEMENTS // trials)
     starts = range(0, p_count, step)
     workers = max(1, min(_WORKERS, len(starts) // 2))
@@ -431,8 +417,6 @@ def _fading_statistics(
                 block *= 10.0
                 mean_db = np.add.reduce(block, -1, None, fade_db[chunk])
                 mean_db /= trials
-                if len(percentiles):
-                    fade_percentiles[:, chunk] = np.percentile(block, percentiles, axis=-1)
                 # population stddev, step for step as numpy.std, without its temporary
                 block -= mean_db[:, None]
                 np.square(block, block)
@@ -459,7 +443,7 @@ def _fading_statistics(
     mean_gain /= trials
     stddev /= trials
     np.sqrt(stddev, stddev)
-    return mean_gain, fade_db, stddev, fade_percentiles
+    return mean_gain, fade_db, stddev
 
 
 def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
@@ -472,10 +456,6 @@ def _base_metadata(scenario: Scenario, spec: SweepSpec) -> Dict[str, object]:
         "interference_mode": "modeled" if scenario.interference.interferers else "constant",
         "assumptions": list(scenario.assumptions),
     }
-
-
-def _irs_of(scenario: Scenario) -> Optional[np.ndarray]:
-    return None if scenario.irs is None else _as_array([scenario.irs])
 
 
 def _sweeps(
@@ -497,7 +477,7 @@ def _sweeps(
         of = f" of {labels[k]!r}" if k is not None and len(panels) > 1 else ""
         return f"sweep point x={grid[p]!r}{of}"
 
-    irs = _irs_of(scenario)
+    irs = None if scenario.irs is None else _as_array([scenario.irs])
     origin = _as_array([scenario.tx]) if irs is None else irs
     # a position beyond the float range is reported by the kernel, not warned about
     with np.errstate(all="ignore"):
@@ -523,6 +503,7 @@ def run_distance_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     transmitter-to-receiver distance otherwise; output rows are ordered by
     distance.
     """
+    _check_arguments(scenario, spec)
     return _sweeps(scenario, spec, [scenario.panel], [scenario.label])[0]
 
 
@@ -538,6 +519,7 @@ def run_angle_sweep(
     change (common random numbers), and the sweep costs about as much as one
     distance sweep. ``angle_pairs`` may be any iterable of two-value pairs.
     """
+    _check_arguments(scenario, spec)
     if scenario.irs is None:
         raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
     pairs = [_read(pair, "angle_pairs entry", 2) for pair in _read(angle_pairs, "angle_pairs")]
@@ -554,27 +536,6 @@ def _angle_text(angle: float) -> str:
     return text if float(text) == angle else repr(float(angle))
 
 
-def monte_carlo_stats(
-    scenario: Scenario,
-    point: Point3,
-    trials: int,
-    seed: int,
-) -> MonteCarloStats:
-    """Fading statistics of the link to a fixed receiver position."""
-    trials, seed = _check_trials_and_seed(trials, seed)
-    stats = _evaluate(scenario, _irs_of(scenario), _as_array([point], "point"), trials, seed,
-                      where=lambda k, p: f"receiver {point}", percentiles=(5, 95))
-    return MonteCarloStats(
-        mean_sinr_db=float(stats.sinr_db[0, 0]),
-        stddev_sinr_db=float(stats.sinr_db_stddev[0]),
-        p5_sinr_db=float(stats.percentiles[0, 0, 0]),
-        p95_sinr_db=float(stats.percentiles[1, 0, 0]),
-        mean_rx_power_w=float(stats.power[0, 0]),
-        trials=trials,
-        seed=seed,
-    )
-
-
 def compare_placement(
     scenario: Scenario,
     irs_positions: Iterable[Point3],
@@ -587,6 +548,7 @@ def compare_placement(
     scored against identical channel realizations. Either position list may
     be any iterable; it is read once, and the entries keep the given points.
     """
+    _check_arguments(scenario, spec)
     if scenario.irs is None:
         raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
     irs_positions = _read(irs_positions, "irs_positions")

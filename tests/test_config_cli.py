@@ -695,6 +695,25 @@ class TestCli:
             "error: sweep grid from start 1e+16 to stop 1.0000000000000002e+16 in 5 steps"
             " repeats points: its step 0.5 is below the float spacing at 1e+16\n")
 
+    def test_sweep_rejects_more_steps_than_a_float_index_holds(self, capsys):
+        """Rejected before any array is built, so it allocates nothing."""
+        assert main(["sweep", "--preset", "fig1", "--steps", str(2**62)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sweep grid from start 5.0 to stop 100.0 in {2**62} steps"
+            " has too many points: steps must be <= 2**53\n")
+
+    def test_memory_error_is_a_diagnostic(self, monkeypatch, capsys):
+        def exhausted(scenario, spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("irssim.cli.run_distance_sweep", exhausted)
+        assert main(["sweep", "--preset", "fig1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
+
     @pytest.mark.parametrize("changes,power", [
         ({"tx_power_dbm = 30": "tx_power_dbm = -3200"}, "0.0"),
         ({"tx_power_dbm = 30": "tx_power_dbm = 3070", "_gain_dbi = 10": "_gain_dbi = 200"}, "inf"),

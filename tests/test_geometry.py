@@ -15,8 +15,8 @@ from irssim import (
     build_preset,
     distance,
     irs_rx_power,
-    monte_carlo_stats,
 )
+from irssim import sweep
 from irssim.channel import FadingMode
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -66,7 +66,9 @@ SCENARIO = dataclasses.replace(build_preset("fig2b")[0],
 def kernel_power(tx, irs, rx):
     """Received power of the cascaded link tx -> irs -> rx, as the kernel scores it."""
     scenario = dataclasses.replace(SCENARIO, tx=tx, irs=irs)
-    return monte_carlo_stats(scenario, rx, trials=1, seed=0).mean_rx_power_w
+    stats = sweep._evaluate(scenario, sweep._as_array([irs]), sweep._as_array([rx]), 1, 0,
+                            where=lambda k, p: f"receiver {rx}")
+    return float(stats.power[0, 0])
 
 
 def formula_power(r1, r2):

@@ -13,11 +13,14 @@ kernel before the presets became config documents: fig2d_deterministic.json
 pins the metadata of the one preset with an assumption of its own, and
 fig1_friis_deterministic.csv pins the `friis` direct-link formula
 (`--conventional-model friis`). placement_fig2b_seed7_interferers.json holds the
-placement ranking at full precision, and the Monte-Carlo statistics of the
-same scenario at one receiver, so that a last-bit change in the interference
-sum shows; it was written before the interference sum moved into the sweep
-kernel. Regenerate them only with a change that is meant to
-alter results, and say why and by how much in CHANGES.md:
+placement ranking at full precision, and the fading statistics of the
+same scenario at one receiver (its `monte_carlo` block), so that a last-bit
+change in the interference sum shows; it was written before the interference
+sum moved into the sweep kernel. That block is the kernel's one-receiver
+statistics. It lost its `p5_sinr_db` and `p95_sinr_db` lines when the
+percentile option was deleted with the public function that alone used it;
+no other byte of the file changed. Regenerate them only with a change that is
+meant to alter results, and say why and by how much in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,8 +43,8 @@ from irssim import (
     build_preset,
     compare_placement,
     dbm_to_watts,
-    monte_carlo_stats,
 )
+from irssim import sweep
 from irssim.channel import FadingMode
 from irssim.cli import main
 
@@ -98,15 +101,20 @@ def placement_csv() -> str:
 
 
 def interferers_json() -> str:
-    """The ranking of placement_csv and Monte-Carlo statistics at its third
-    receiver (1 000 trials), every float written with repr."""
+    """The ranking of placement_csv and the kernel's fading statistics at its
+    third receiver (1 000 trials), every float written with repr."""
     scenario = interferer_scenario()
     report = compare_placement(scenario, CANDIDATES, RECEIVERS, SPEC)
-    stats = monte_carlo_stats(scenario, RECEIVERS[2], trials=1000, seed=7)
+    trials, seed = 1000, 7
+    stats = sweep._evaluate(scenario, sweep._as_array([scenario.irs]),
+                            sweep._as_array([RECEIVERS[2]]), trials, seed, where=lambda k, p: "")
     return json.dumps({
         "placement": [{**entry._asdict(), "irs_position": dataclasses.asdict(entry.irs_position)}
                       for entry in report.entries],
-        "monte_carlo": dataclasses.asdict(stats),
+        "monte_carlo": {"mean_sinr_db": float(stats.sinr_db[0, 0]),
+                        "stddev_sinr_db": float(stats.sinr_db_stddev[0]),
+                        "mean_rx_power_w": float(stats.power[0, 0]),
+                        "trials": trials, "seed": seed},
     }, indent=1) + "\n"
 
 

@@ -13,11 +13,11 @@ import irssim
 
 PUBLIC_NAMES = {
     "ChannelParams", "ConfigError", "DegenerateGeometryError", "FadingModel", "InterfererSet",
-    "InvalidInputError", "IrsPanel", "MonteCarloStats", "PlacementEntry", "PlacementReport",
+    "InvalidInputError", "IrsPanel", "PlacementEntry", "PlacementReport",
     "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepSpec",
     "build_preset", "compare_placement",
     "conventional_rx_power", "dbm_to_watts", "distance", "emit_results", "irs_rx_power",
-    "monte_carlo_stats", "parse_scenario", "run_angle_sweep",
+    "parse_scenario", "run_angle_sweep",
     "run_distance_sweep", "sample_fading_block", "thermal_noise_watts", "watts_to_dbm",
 }
 

@@ -13,9 +13,9 @@ from irssim import (
     Point3,
     Scenario,
     conventional_rx_power,
-    monte_carlo_stats,
     thermal_noise_watts,
 )
+from irssim import sweep
 from irssim.channel import FadingMode
 
 
@@ -30,11 +30,12 @@ def make_params():
 
 def denominator(interference, rx=Point3(0, 0, 0)):
     """Interference plus noise power at ``rx``, in watts, read back from a
-    deterministic monte_carlo_stats: the mean power over the SINR."""
+    deterministic kernel call at that one receiver: the mean power over the SINR."""
     scenario = Scenario(channel=make_params(), fading=FadingModel(mode=FadingMode.DETERMINISTIC),
                         interference=interference, tx=Point3(0, 0, 50))
-    stats = monte_carlo_stats(scenario, rx, trials=1, seed=0)
-    return stats.mean_rx_power_w / 10.0 ** (stats.mean_sinr_db / 10.0)
+    stats = sweep._evaluate(scenario, None, sweep._as_array([rx]), 1, 0,
+                            where=lambda k, p: f"receiver {rx}")
+    return float(stats.power[0, 0]) / 10.0 ** (float(stats.sinr_db[0, 0]) / 10.0)
 
 
 def interference_at(interference, rx=Point3(0, 0, 0)):

@@ -27,7 +27,6 @@ from irssim import (
     compare_placement,
     distance,
     irs_rx_power,
-    monte_carlo_stats,
     run_angle_sweep,
     run_distance_sweep,
 )
@@ -168,6 +167,14 @@ class TestSweepSpec:
             with pytest.raises(InvalidInputError, match="seed"):
                 SweepSpec(start=1.0, stop=2.0, steps=5, seed=seed)
 
+    def test_more_points_than_a_float_index_holds_rejected(self):
+        # checked before the grid is built: 2**53 + 1 points would need 64 PiB
+        with pytest.raises(InvalidInputError) as caught:
+            SweepSpec(start=1.0, stop=2.0, steps=2**53 + 1)
+        assert str(caught.value) == (
+            f"sweep grid from start 1.0 to stop 2.0 in {2**53 + 1} steps"
+            " has too many points: steps must be <= 2**53")
+
     # a float would run truncated (seed 1.5 as seed 1) but be reported as given
     @pytest.mark.parametrize("name,value", [
         ("seed", 1.5), ("seed", 2.7), ("seed", True), ("seed", np.float64(3.0)), ("seed", "1"),
@@ -176,12 +183,6 @@ class TestSweepSpec:
     def test_counts_and_seed_must_be_integers(self, name, value):
         with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
             SweepSpec(start=1.0, stop=2.0, **{"steps": 5, "trials": 3, name: value})
-        if name != "steps":
-            scenario = conventional_scenario(
-                fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
-            with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
-                monte_carlo_stats(scenario, Point3(30, 0, 10),
-                                  **{"trials": 3, "seed": 1, name: value})
 
     def test_numpy_integers_are_kept_as_python_ints(self):
         spec = SweepSpec(start=1.0, stop=2.0, steps=np.int32(5), trials=np.int64(3),
@@ -190,6 +191,23 @@ class TestSweepSpec:
         assert all(type(v) is int for v in (spec.steps, spec.trials, spec.seed))
         result = run_distance_sweep(conventional_scenario(), spec)
         assert type(result.metadata["seed"]) is int
+
+
+@pytest.mark.parametrize("run,message", [
+    (lambda spec: run_distance_sweep(irs_scenario(), None),
+     "spec must be a SweepSpec, got NoneType"),
+    (lambda spec: run_distance_sweep(None, spec), "scenario must be a Scenario, got NoneType"),
+    (lambda spec: compare_placement(irs_scenario(), [Point3(50, 0, 10)], [Point3(70, 0, 1.5)],
+                                    (1, 2)),
+     "spec must be a SweepSpec, got tuple"),
+    (lambda spec: compare_placement("fig2b", [], [], spec), "scenario must be a Scenario, got str"),
+    (lambda spec: run_angle_sweep(irs_scenario(), [(45, 45)], {"trials": 3}),
+     "spec must be a SweepSpec, got dict"),
+], ids=["sweep_spec", "sweep_scenario", "placement_spec", "placement_scenario", "angle_spec"])
+def test_entry_points_check_scenario_and_spec(run, message):
+    with pytest.raises(InvalidInputError) as caught:
+        run(SweepSpec(start=5.0, stop=95.0, steps=4))
+    assert str(caught.value) == message
 
 
 class TestScenario:
@@ -274,12 +292,13 @@ class TestDistanceSweep:
         scenario = dataclasses.replace(scenario, interference=InterfererSet.modeled(
             [(scenario.channel, Point3(60.0, 40.0, 10.0))]))
         origin = scenario.tx if scenario.irs is None else scenario.irs
+        irs = None if scenario.irs is None else sweep_module._as_array([scenario.irs])
         result = run_distance_sweep(scenario, spec)
         xs, _, sinr_db, _ = result.columns
         for x, value in zip(xs, sinr_db):
-            point = Point3(origin.x + x, origin.y, origin.z)
-            expected = monte_carlo_stats(scenario, point, 1, 0).mean_sinr_db
-            assert value == pytest.approx(expected, abs=1e-12)
+            point = sweep_module._as_array([Point3(origin.x + x, origin.y, origin.z)])
+            expected = sweep_module._evaluate(scenario, irs, point, 1, 0, where=lambda k, p: "")
+            assert value == pytest.approx(float(expected.sinr_db[0, 0]), abs=1e-12)
 
     @pytest.mark.parametrize("sweep", [
         lambda spec: [run_distance_sweep(irs_scenario(), spec)],
@@ -358,8 +377,8 @@ class TestDistanceSweep:
 
 
 def fading_outputs():
-    """Sweep rows, placement entries, Monte-Carlo statistics, kernel
-    percentiles and angle sweeps of one Rayleigh scenario with two modeled
+    """Sweep rows, placement entries, the kernel's statistics at one receiver
+    and at seven, and angle sweeps of one Rayleigh scenario with two modeled
     interferers."""
     interferers = InterfererSet.modeled([
         (make_channel(), Point3(120, 0, 10)),
@@ -375,14 +394,17 @@ def fading_outputs():
         [Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)],
         [Point3(10.0 * k, 3.0 * k - 12, 1.5) for k in range(1, 9)],
         SweepSpec(start=1.0, stop=2.0, steps=2, trials=30, seed=7))
-    stats = monte_carlo_stats(scenario, Point3(70, 0, 1.5), 500, seed=7)
-    link = sweep_module._evaluate(
-        scenario, sweep_module._as_array([scenario.irs]),
+    irs = sweep_module._as_array([scenario.irs])
+    one = sweep_module._evaluate(scenario, irs, sweep_module._as_array([Point3(70, 0, 1.5)]),
+                                 500, 7, where=lambda k, p: "")
+    seven = sweep_module._evaluate(
+        scenario, irs,
         sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)]),
-        25, 7, where=lambda k, p: "", percentiles=(5, 50, 95))
+        25, 7, where=lambda k, p: "")
     angles = run_angle_sweep(scenario, [(45, 45), (0, 0), (30, 60)],
                              SweepSpec(start=5.0, stop=95.0, steps=12, trials=20, seed=7))
-    return sweep.columns, placement.entries, stats, [a.tobytes() for a in link], angles
+    return (sweep.columns, placement.entries, [a.tobytes() for a in one],
+            [a.tobytes() for a in seven], angles)
 
 
 class TestChunkInvariance:
@@ -420,9 +442,9 @@ class TestWorkers:
     """The fading pass gives the same bytes on any number of worker threads."""
 
     def outputs(self, monkeypatch, workers):
-        # one receiver per chunk: 16 sweep chunks, 8 placement chunks, 7 for
-        # the kernel's percentiles, 12 for the angle sweep and a single
-        # Monte-Carlo chunk
+        # one receiver per chunk: 16 sweep chunks, 8 placement chunks, a single
+        # chunk for the kernel's one receiver, 7 for its seven and 12 for the
+        # angle sweep
         monkeypatch.setattr(sweep_module, "_CHUNK_ELEMENTS", 20)
         monkeypatch.setattr(sweep_module, "_WORKERS", workers)
         return fading_outputs()
@@ -441,7 +463,7 @@ class TestWorkers:
 
     # 100 workers are capped at half the chunks: 8 for the sweep, 4 for the
     # placement, 3 for the kernel's 7 receivers and 6 for the angle sweep; the
-    # Monte-Carlo run stays serial. The caller is one of them, and a worker
+    # kernel's one receiver stays serial. The caller is one of them, and a worker
     # may find the queue empty, so the started threads are counted, not the
     # threads that drew
     @pytest.mark.parametrize("workers,expected", [
@@ -518,16 +540,15 @@ class TestFadingStatistics:
         monkeypatch.setattr(sweep_module, "_WORKERS", workers)
         fading = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=11)
         denominator = np.geomspace(1e-13, 1e-9, 7)
-        stats = sweep_module._fading_statistics(fading, denominator, trials, (5, 95))
-        expected = [[], [], [], []]
+        stats = sweep_module._fading_statistics(fading, denominator, trials)
+        expected = [[], [], []]
         for p, d in enumerate(denominator):
             g = sweep_module.sample_fading_block(fading, p * trials, trials)
             x = 10 * np.log10(g / d)
-            for column, value in zip(expected, (np.mean(g), np.mean(x), np.std(x),
-                                                np.percentile(x, (5, 95)))):
+            for column, value in zip(expected, (np.mean(g), np.mean(x), np.std(x))):
                 column.append(value)
         for actual, wanted in zip(stats, expected):
-            assert actual.tobytes() == np.array(wanted).T.tobytes()
+            assert actual.tobytes() == np.array(wanted).tobytes()
 
 
 class TestSharedFading:
@@ -540,8 +561,7 @@ class TestSharedFading:
             interference=interferers)
         irs = sweep_module._as_array([Point3(x, y, 10) for x in (20, 50, 80) for y in (-20, 20)])
         rx = sweep_module._as_array([Point3(12.0 * k, 5.0 - k, 1.5) for k in range(1, 8)])
-        stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "",
-                                       percentiles=(5, 50, 95))
+        stats = sweep_module._evaluate(scenario, irs, rx, 40, 3, where=lambda k, p: "")
         # under unit fading the mean power is the unit-fading signal, bit for bit
         unit = sweep_module._evaluate(
             dataclasses.replace(scenario, fading=FadingModel(mode=FadingMode.DETERMINISTIC)),
@@ -553,10 +573,9 @@ class TestSharedFading:
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
         assert stats.sinr_db_stddev.shape == (len(rx),)  # one row for every position
         assert np.all(stats.sinr_db_stddev > 0)
-        for values in (stats.sinr_db, *stats.percentiles):
-            fade = values - signal_db
-            np.testing.assert_allclose(fade, np.broadcast_to(fade[0], fade.shape),
-                                       rtol=0, atol=1e-12)
+        fade = stats.sinr_db - signal_db
+        np.testing.assert_allclose(fade, np.broadcast_to(fade[0], fade.shape),
+                                   rtol=0, atol=1e-12)
 
 
 class TestAngleSweep:
@@ -662,47 +681,6 @@ class TestAngleSweep:
     def test_requires_irs_scenario(self):
         with pytest.raises(InvalidInputError):
             run_angle_sweep(conventional_scenario(), [(45, 45)], self.spec)
-
-
-class TestMonteCarloStats:
-    def test_deterministic_collapses(self):
-        stats = monte_carlo_stats(conventional_scenario(), Point3(30, 0, 10), 100, seed=5)
-        assert stats.stddev_sinr_db == 0.0
-        assert stats.p5_sinr_db == stats.mean_sinr_db
-        assert stats.p95_sinr_db == stats.mean_sinr_db
-
-    def test_mean_power_converges(self):
-        scenario = conventional_scenario(
-            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
-        deterministic = monte_carlo_stats(conventional_scenario(), Point3(30, 0, 10), 1, seed=1)
-        stats = monte_carlo_stats(scenario, Point3(30, 0, 10), 10**6, seed=1)
-        assert abs(stats.mean_rx_power_w / deterministic.mean_rx_power_w - 1.0) < 0.01
-
-    def test_bit_identical_repeats(self):
-        scenario = irs_scenario(
-            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=9))
-        first = monte_carlo_stats(scenario, Point3(80, 0, 1.5), 5000, seed=9)
-        second = monte_carlo_stats(scenario, Point3(80, 0, 1.5), 5000, seed=9)
-        assert first == second
-
-    def test_percentiles_bracket_mean(self):
-        scenario = conventional_scenario(
-            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=4))
-        stats = monte_carlo_stats(scenario, Point3(30, 0, 10), 20000, seed=4)
-        assert stats.p5_sinr_db < stats.mean_sinr_db < stats.p95_sinr_db
-        assert stats.stddev_sinr_db > 0
-
-    def test_point_must_be_a_point(self):
-        with pytest.raises(InvalidInputError) as caught:
-            monte_carlo_stats(irs_scenario(), (70.0, 0.0, 1.5), 10, 1)
-        assert str(caught.value) == "point must be a Point3, got (70.0, 0.0, 1.5)"
-
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
-    def test_seed_out_of_range_rejected(self, seed):
-        scenario = conventional_scenario(
-            fading=FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
-        with pytest.raises(InvalidInputError, match="seed"):
-            monte_carlo_stats(scenario, Point3(30, 0, 10), 10, seed=seed)
 
 
 class TestComparePlacement:
@@ -957,9 +935,12 @@ class TestFaults:
          DegenerateGeometryError,
          "placement (irs=Point3(x=50, y=0, z=10), rx=Point3(x=50, y=0, z=10)):"
          " reflector and receiver coincide (r2 = 0)"),
-        (lambda self: monte_carlo_stats(conventional_scenario(), Point3(0, 0, 10), 10, 1),
+        # the first point, 1 m from a transmitter at 1e17 m, rounds onto it
+        (lambda self: run_distance_sweep(
+            dataclasses.replace(conventional_scenario(), tx=Point3(1e17, 0, 10)),
+            SweepSpec(start=1.0, stop=2.0, steps=3)),
          DegenerateGeometryError,
-         "receiver Point3(x=0, y=0, z=10): link distance must be > 0, got 0.0"),
+         "sweep point x=1.0: link distance must be > 0, got 0.0"),
         (lambda self: run_distance_sweep(
             dataclasses.replace(irs_scenario(), interference=two_interferers()), self.grid),
          DegenerateGeometryError,
