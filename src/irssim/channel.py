@@ -12,7 +12,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -39,11 +39,27 @@ class ConventionalModel(enum.Enum):
     FRIIS = "friis"
 
 
-def _check_member(name: str, value: object, kind: type) -> None:
-    """Reject anything but a member of the enum ``kind``, such as its value string."""
+def _check_type(name: str, value: object, kind: type) -> None:
+    """Reject anything but a ``kind``: an enum names its members and shows the
+    value (such as its value string), a class names itself and the type it got."""
     if not isinstance(value, kind):
-        accepted = " or ".join(f"{kind.__name__}.{member.name}" for member in kind)
-        raise InvalidInputError(f"{name} must be {accepted}, got {value!r}")
+        if issubclass(kind, enum.Enum):
+            accepted = " or ".join(f"{kind.__name__}.{member.name}" for member in kind)
+            raise InvalidInputError(f"{name} must be {accepted}, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidInputError(
+            f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
+def _read(values: Iterable, name: str, size: Optional[int] = None) -> tuple:
+    """``values``, any iterable, read once into a tuple, of ``size`` items if a
+    size is given; any other value is an InvalidInputError naming ``name``."""
+    if not isinstance(values, Iterable):
+        raise InvalidInputError(f"{name} must be iterable, got {type(values).__name__}")
+    items = tuple(values)
+    if size is not None and len(items) != size:
+        raise InvalidInputError(f"{name} must hold {size} values, got {values!r}")
+    return items
 
 
 def _integer(name: str, value: int) -> int:
@@ -142,7 +158,7 @@ class FadingModel:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_member("fading mode", self.mode, FadingMode)
+        _check_type("fading mode", self.mode, FadingMode)
         if self.seed is not None:
             object.__setattr__(self, "seed", _seed(self.seed))
         elif self.mode is FadingMode.RAYLEIGH_EXPONENTIAL:
@@ -299,7 +315,7 @@ def conventional_rx_power(
     FRIIS form: identical with lambda squared in the numerator.
     Distances and gains may be arrays; they broadcast elementwise.
     """
-    _check_member("model", model, ConventionalModel)
+    _check_type("model", model, ConventionalModel)
     if not _all_positive(r):
         raise DegenerateGeometryError(f"link distance must be > 0, got {float(np.min(r))!r}")
     if not _all_positive(fading_gain):

@@ -167,7 +167,7 @@ def _panel(panel: _Section) -> IrsPanel:
             theta_r=panel["theta_r"],
         )
     except InvalidInputError as exc:
-        raise ConfigError(f"panel.{exc}") from None
+        raise ConfigError(f"panel: {exc}") from None
 
 
 def _check_link_mode(document: _Document) -> None:

@@ -53,6 +53,7 @@ from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Tuple, Union
 
+from irssim.channel import _check_type, _read
 from irssim.errors import InvalidInputError
 from irssim.sweep import SweepResult
 
@@ -164,14 +165,11 @@ def _json_rows(results: Iterable[SweepResult]) -> Iterator[Tuple[str, ...]]:
 
 
 def render_results(results: Iterable[SweepResult], fmt: str) -> str:
-    if not isinstance(results, Iterable):  # a lone SweepResult, say
-        raise InvalidInputError(f"expected a list of results, got {type(results).__name__}")
-    results = tuple(results)
+    results = _read(results, "results")  # not a lone SweepResult
     if not results:
         raise InvalidInputError("no results to emit")
-    bad = [(i, type(r).__name__) for i, r in enumerate(results) if not isinstance(r, SweepResult)]
-    if bad:
-        raise InvalidInputError("results[%d] must be a SweepResult, got %s" % bad[0])
+    for i, result in enumerate(results):
+        _check_type(f"results[{i}]", result, SweepResult)
     if fmt == "csv":
         return "".join([CSV_HEADER, *_csv_rows(results), "\n"])
     if fmt == "json":

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
-from irssim.channel import ChannelParams, _real
+from irssim.channel import ChannelParams, _check_type, _read, _real
 from irssim.errors import InvalidInputError
 from irssim.geometry import Point3
 
@@ -22,8 +22,8 @@ REFERENCE_TEMPERATURE_K = 290.0
 class InterfererSet:
     """A constant interference floor plus explicit interfering transmitters, summed.
 
-    ``interferers`` may be any iterable of (ChannelParams, Point3) pairs; it
-    is read once and stored as a tuple of pairs, so the set hashes.
+    ``interferers`` may be any iterable of (ChannelParams, Point3) pairs, each any iterable of
+    two values; all are read once into tuples, so the set hashes. Else an InvalidInputError.
     """
 
     constant_power: float = 0.0
@@ -33,20 +33,12 @@ class InterfererSet:
         if not (0 <= _real("constant interference", self.constant_power) < math.inf):
             raise InvalidInputError(
                 f"constant interference must be finite and >= 0 W, got {self.constant_power!r}")
-        pairs = []
-        for j, entry in enumerate(self.interferers):
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
-                raise InvalidInputError(
-                    f"interferer {j} must be a (ChannelParams, Point3) pair, got {entry!r}")
-            params, position = entry
-            if not isinstance(params, ChannelParams):
-                raise InvalidInputError(
-                    f"interferer {j} parameters must be a ChannelParams, got {params!r}")
-            if not isinstance(position, Point3):
-                raise InvalidInputError(
-                    f"interferer {j} position must be a Point3, got {position!r}")
-            pairs.append((params, position))
-        object.__setattr__(self, "interferers", tuple(pairs))
+        pairs = tuple(_read(entry, f"interferer {j}", 2)
+                      for j, entry in enumerate(_read(self.interferers, "interferers")))
+        for j, (params, position) in enumerate(pairs):
+            _check_type(f"interferer {j} parameters", params, ChannelParams)
+            _check_type(f"interferer {j} position", position, Point3)
+        object.__setattr__(self, "interferers", pairs)
 
     @classmethod
     def modeled(cls, entries: Iterable[Tuple[ChannelParams, Point3]]) -> "InterfererSet":

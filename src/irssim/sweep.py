@@ -49,8 +49,9 @@ from irssim.channel import (
     FadingMode,
     FadingModel,
     IrsPanel,
-    _check_member,
+    _check_type,
     _integer,
+    _read,
     _real,
     _seed,
     _watts_to_dbm_array,
@@ -82,8 +83,8 @@ class Scenario:
 
     A sweep's receivers lie on the +x ray from the reflector, or from the
     transmitter on a conventional link. Every field is checked for its type;
-    ``assumptions`` may be any sequence of strings other than a string, and
-    is stored as a tuple.
+    ``assumptions`` may be any iterable of strings other than one string, and
+    is read once into a tuple.
     """
 
     channel: ChannelParams
@@ -97,7 +98,7 @@ class Scenario:
     assumptions: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_member("conventional_model", self.conventional_model, ConventionalModel)
+        _check_type("conventional_model", self.conventional_model, ConventionalModel)
         if (self.panel is None) != (self.irs is None):
             raise InvalidInputError(
                 "a scenario carries both a panel and an IRS position, or neither")
@@ -106,21 +107,18 @@ class Scenario:
         if self.irs is not None:
             kinds += [("panel", IrsPanel), ("irs", Point3)]
         for name, kind in kinds:
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                article = "an" if kind.__name__[0] in "AEIOU" else "a"
-                raise InvalidInputError(f"{name} must be {article} {kind.__name__}, got {value!r}")
-        assumptions = self.assumptions
-        if (isinstance(assumptions, str) or not isinstance(assumptions, Sequence)
-                or not all(isinstance(a, str) for a in assumptions)):
-            raise InvalidInputError(
-                f"assumptions must be a sequence of strings, got {assumptions!r}")
-        object.__setattr__(self, "assumptions", tuple(assumptions))
+            _check_type(name, getattr(self, name), kind)
+        assumptions = _read(self.assumptions, "assumptions")
+        if isinstance(self.assumptions, str):
+            raise InvalidInputError("assumptions must be strings other than one str, got str")
+        for assumption in assumptions:
+            _check_type("assumptions entry", assumption, str)
+        object.__setattr__(self, "assumptions", assumptions)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Uniform sweep grid plus Monte-Carlo repetition count and seed."""
+    """Uniform grid of distances > 0, plus Monte-Carlo repetition count and seed."""
 
     start: float
     stop: float
@@ -138,6 +136,8 @@ class SweepSpec:
                 f"sweep start and stop must be finite, got [{start!r}, {stop!r}]")
         if not (start < stop):
             raise InvalidInputError(f"sweep start must be < stop, got [{start!r}, {stop!r}]")
+        if start <= 0:  # every grid is a set of receiver distances
+            raise InvalidInputError(f"sweep start must be > 0, got {start!r}")
         steps = _integer("sweep steps", self.steps)
         if steps < 2:
             raise InvalidInputError(f"sweep steps must be >= 2, got {steps!r}")
@@ -186,8 +186,8 @@ class SweepResult:
     """One curve as four columns, named as in the CSV header: ``x`` (the swept
     variable), ``rx_power_dbm``, ``sinr_db`` (the mean) and ``sinr_db_stddev``.
 
-    Labels are strings; each column is stored as a tuple (a tuple given is kept
-    as it is), four of one length. Any other value is an InvalidInputError.
+    Labels are strings; ``columns`` is any iterable of four iterables of one length, each read
+    once into a tuple (a tuple given is kept as it is). Any other value is an InvalidInputError.
     """
 
     scenario_label: str
@@ -197,9 +197,8 @@ class SweepResult:
 
     def __post_init__(self) -> None:
         for name in ("scenario_label", "variable_name"):
-            if not isinstance(getattr(self, name), str):
-                raise InvalidInputError(f"{name} must be a str, got {getattr(self, name)!r}")
-        columns = tuple(map(tuple, self.columns))
+            _check_type(name, getattr(self, name), str)
+        columns = tuple(map(_read, _read(self.columns, "columns"), repeat("columns entry")))
         if len(columns) != 4 or len(set(map(len, columns))) != 1:
             raise InvalidInputError(
                 f"{self.scenario_label!r} must hold four columns of one length,"
@@ -242,29 +241,17 @@ class _LinkStats(NamedTuple):
 
 
 def _check_arguments(scenario: Scenario, spec: SweepSpec) -> None:
-    """An InvalidInputError that names the argument unless ``scenario`` is a
-    Scenario and ``spec`` a SweepSpec."""
-    for name, value, kind in (("scenario", scenario, Scenario), ("spec", spec, SweepSpec)):
-        if not isinstance(value, kind):
-            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-
-
-def _read(values: Iterable, name: str, size: Optional[int] = None) -> tuple:
-    """``values`` read once into a tuple, of ``size`` items if a size is given;
-    any other value is an InvalidInputError that names the argument ``name``."""
-    items = tuple(values) if isinstance(values, Iterable) else None
-    if items is None or size is not None and len(items) != size:
-        expected = "be iterable" if size is None else f"hold {size} values"
-        raise InvalidInputError(f"{name} must {expected}, got {values!r}")
-    return items
+    """Reject a ``scenario`` that is not a Scenario or a ``spec`` that is not a SweepSpec."""
+    _check_type("scenario", scenario, Scenario)
+    _check_type("spec", spec, SweepSpec)
 
 
 def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
     """Coordinates of the points, shape (len(points), 3); any other value is
     an InvalidInputError that names the argument ``name``."""
-    if not all(isinstance(p, Point3) for p in points):
-        bad = next(p for p in points if not isinstance(p, Point3))
-        raise InvalidInputError(f"{name} must be a Point3, got {bad!r}")
+    bad = [p for p in points if not isinstance(p, Point3)]
+    if bad:
+        _check_type(name, bad[0], Point3)
     coordinates = chain.from_iterable((p.x, p.y, p.z) for p in points)
     return np.fromiter(coordinates, float, 3 * len(points)).reshape(-1, 3)
 
@@ -469,8 +456,6 @@ def _sweeps(
         return []
     points = spec._points()
     grid = points.tolist()
-    if grid[0] <= 0:
-        raise InvalidInputError(f"sweep distances must be > 0, start={spec.start!r}")
 
     def where(k: Optional[int], p: int) -> str:
         # with several panels, row k is the sweep labelled labels[k]

@@ -183,8 +183,10 @@ class TestParseScenario:
         ("[channel]\n", "frequency_hz = 28e9\n[channel]\n",
          "malformed configuration: File contains no section headers. file: '<string>', "
          "line: 1 'frequency_hz = 28e9\\n'"),
+        ("element_length_m = 0.005", "element_length_m = 0",
+         "panel: element_length must be finite and > 0, got 0.0"),
     ], ids=["no_sweep_section", "two_coordinates", "zero_rx_direction", "no_equals_sign",
-            "no_section_header"])
+            "no_section_header", "panel_element_length"])
     def test_diagnostic(self, old, new, message):
         assert IRS_CONFIG.count(old) == 1
         with pytest.raises(ConfigError) as caught:
@@ -684,6 +686,16 @@ class TestCli:
         assert main(["validate", str(config)]) == 1
         assert capsys.readouterr().err == (
             "error: sweep: sweep start and stop must be finite, got [5.0, inf]\n")
+
+    def test_validate_rejects_the_readme_config_starting_at_zero(self, tmp_path, capsys):
+        """validate runs the same grid checks as sweep: every point is a distance > 0."""
+        config = tmp_path / "start.ini"
+        assert readme_config().count("\nstart = 5\n") == 1
+        config.write_text(readme_config().replace("\nstart = 5\n", "\nstart = 0\n"))
+        assert main(["validate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep: sweep start must be > 0, got 0.0\n"
 
     def test_sweep_rejects_a_grid_that_repeats_points(self, capsys):
         """A step below the float spacing at start would write rows with equal x."""

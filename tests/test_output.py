@@ -160,17 +160,28 @@ def test_non_results_are_rejected_before_writing(fmt, tmp_path):
         for lone, kind in ((good, "SweepResult"), (3, "int")):
             with pytest.raises(InvalidInputError) as caught:
                 emit_results(lone, fmt, destination)
-            assert str(caught.value) == f"expected a list of results, got {kind}"
+            assert str(caught.value) == f"results must be iterable, got {kind}"
     assert buffer.getvalue() == "" and not path.exists()
 
 
 @pytest.mark.parametrize("args,message", [
-    ((3, "distance_m"), "scenario_label must be a str, got 3"),
-    (("r", None), "variable_name must be a str, got None"),
+    ((3, "distance_m"), "scenario_label must be a str, got int"),
+    (("r", None), "variable_name must be a str, got NoneType"),
 ], ids=["label", "variable"])
 def test_labels_must_be_text(args, message):
     with pytest.raises(InvalidInputError) as caught:
         SweepResult(*args, ((1.0,), (2.0,), (3.0,), (4.0,)))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("columns,message", [
+    (5, "columns must be iterable, got int"),
+    ([1, 2, 3, 4], "columns entry must be iterable, got int"),
+    (None, "columns must be iterable, got NoneType"),
+], ids=["int", "flat_list", "none"])
+def test_columns_must_be_iterables(columns, message):
+    with pytest.raises(InvalidInputError) as caught:
+        SweepResult("r", "distance_m", columns)
     assert str(caught.value) == message
 
 

@@ -107,19 +107,35 @@ class TestAggregateInterference:
 
     @pytest.mark.parametrize("entry,message", [
         (("not params", Point3(120.0, 0.0, 10.0)),
-         "interferer 1 parameters must be a ChannelParams, got 'not params'"),
+         "interferer 1 parameters must be a ChannelParams, got str"),
         ((make_params(), (120.0, 0.0, 10.0)),
-         "interferer 1 position must be a Point3, got (120.0, 0.0, 10.0)"),
+         "interferer 1 position must be a Point3, got tuple"),
         ((Point3(120.0, 0.0, 10.0),),
-         "interferer 1 must be a (ChannelParams, Point3) pair, got (Point3(x=120.0, y=0.0, z=10.0),)"),
-        ("ab", "interferer 1 must be a (ChannelParams, Point3) pair, got 'ab'"),
-    ], ids=["params", "position", "one-tuple", "string"])
+         "interferer 1 must hold 2 values, got (Point3(x=120.0, y=0.0, z=10.0),)"),
+        ("ab", "interferer 1 parameters must be a ChannelParams, got str"),
+        (5, "interferer 1 must be iterable, got int"),
+    ], ids=["params", "position", "one-tuple", "string", "not-iterable"])
     def test_entries_must_be_params_position_pairs(self, entry, message):
         entries = [(make_params(), Point3(0, 25, 0)), entry]
         for build in (InterfererSet.modeled, lambda e: InterfererSet(interferers=tuple(e))):
             with pytest.raises(InvalidInputError) as caught:
                 build(entries)
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("interferers,message", [
+        (5, "interferers must be iterable, got int"),
+        (None, "interferers must be iterable, got NoneType"),
+    ], ids=["int", "none"])
+    def test_interferers_must_be_iterable(self, interferers, message):
+        with pytest.raises(InvalidInputError) as caught:
+            InterfererSet(interferers=interferers)
+        assert str(caught.value) == message
+
+    def test_a_pair_may_be_any_iterable(self):
+        params, position = make_params(), Point3(0, 25, 0)
+        modeled = InterfererSet.modeled(iter([iter((params, position)), [params, position]]))
+        assert modeled.interferers == ((params, position),) * 2
+        assert type(modeled.interferers[1]) is tuple
 
     def test_negative_floor_with_interferers_rejected(self):
         modeled = InterfererSet.modeled([(make_params(), Point3(0, 25, 0))])
