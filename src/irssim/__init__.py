@@ -28,7 +28,7 @@ from irssim.sweep import (
 from irssim.config import PRESET_NAMES, build_preset, parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

@@ -79,6 +79,21 @@ def _real(name: str, value: float) -> float:
     return value
 
 
+def _positive(name: str, value: float) -> float:
+    """``value`` if it is a real number (see ``_real``) that is finite and > 0."""
+    if not (0 < _real(name, value) < math.inf):
+        raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _count(name: str, value: int, minimum: int) -> int:
+    """``value`` as a Python int if it is an integer (see ``_integer``) >= ``minimum``."""
+    count = _integer(name, value)
+    if count < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {count!r}")
+    return count
+
+
 def _seed(value: int) -> int:
     """A seed of the splitmix64 streams: an integer in [0, 2**64), as a Python int."""
     seed = _integer("seed", value)
@@ -100,12 +115,12 @@ class ChannelParams:
     noise_power: float
 
     def __post_init__(self) -> None:
-        for name in ("carrier_frequency", "tx_power", "path_loss_exponent", "noise_power"):
-            value = _real(name, getattr(self, name))
-            if name == "path_loss_exponent" and not (0 <= value < math.inf):
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
-            if name != "path_loss_exponent" and not (0 < value < math.inf):
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
+        _positive("carrier_frequency", self.carrier_frequency)
+        _positive("tx_power", self.tx_power)
+        if not (0 <= _real("path_loss_exponent", self.path_loss_exponent) < math.inf):
+            raise InvalidInputError(
+                f"path_loss_exponent must be finite and >= 0, got {self.path_loss_exponent!r}")
+        _positive("noise_power", self.noise_power)
 
     @property
     def wavelength(self) -> float:
@@ -133,14 +148,9 @@ class IrsPanel:
 
     def __post_init__(self) -> None:
         for name in ("element_length", "element_width", "tx_gain", "rx_gain"):
-            value = _real(name, getattr(self, name))
-            if not (0 < value < math.inf):
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
+            _positive(name, getattr(self, name))
         for name in ("tx_side_elements", "rx_side_elements"):
-            count = _integer(name, getattr(self, name))
-            if count < 1:
-                raise InvalidInputError(f"{name} must be an integer >= 1, got {count!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         if not (0 < _real("reflection_coefficient", self.reflection_coefficient) <= 1):
             raise InvalidInputError(
                 f"reflection_coefficient must lie in (0, 1], got {self.reflection_coefficient!r}")
@@ -166,9 +176,8 @@ class FadingModel:
 
 
 def watts_to_dbm(watts: float) -> float:
-    if not (watts > 0):
-        raise InvalidInputError(f"power must be > 0 W for dBm conversion, got {watts!r}")
-    return _watts_to_dbm_array(np.array([watts], dtype=float)).item()
+    """10*log10(watts / 1 mW) of a power that is finite and > 0 W."""
+    return _watts_to_dbm_array(np.array([_positive("power", watts)], dtype=float)).item()
 
 
 def _watts_to_dbm_array(watts: np.ndarray) -> np.ndarray:
@@ -190,13 +199,13 @@ def _watts_to_dbm_array(watts: np.ndarray) -> np.ndarray:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return ratio_from_db(dbm) * 1e-3
+    return ratio_from_db(_real("dbm", dbm)) * 1e-3
 
 
 def ratio_from_db(db: float) -> float:
-    """10**(db/10), or inf where that overflows a float, so a range check rejects it."""
+    """10**(db/10) of a real number, or inf where that overflows, so a range check rejects it."""
     try:
-        return 10.0 ** (db / 10.0)
+        return 10.0 ** (_real("db", db) / 10.0)
     except OverflowError:
         return math.inf
 
@@ -265,10 +274,9 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
     most one _HASH_BLOCK of scratch, and each draw is the same whatever span
     hashes it.
     """
+    _check_type("model", model, FadingModel)
     start_index = _integer("start_index", start_index)
-    count = _integer("count", count)
-    if count < 0:
-        raise InvalidInputError(f"count must be >= 0, got {count!r}")
+    count = _count("count", count, 0)
     if not (0 <= start_index and start_index + count <= 2 ** 64):
         raise InvalidInputError(
             "stream indices must lie in [0, 2**64),"
@@ -315,6 +323,7 @@ def conventional_rx_power(
     FRIIS form: identical with lambda squared in the numerator.
     Distances and gains may be arrays; they broadcast elementwise.
     """
+    _check_type("params", params, ChannelParams)
     _check_type("model", model, ConventionalModel)
     if not _all_positive(r):
         raise DegenerateGeometryError(f"link distance must be > 0, got {float(np.min(r))!r}")
@@ -340,6 +349,8 @@ def irs_rx_power(
     r1 (tx to panel) and r2 (panel to rx) may be arrays; they broadcast
     elementwise and give an array of powers.
     """
+    _check_type("params", params, ChannelParams)
+    _check_type("panel", panel, IrsPanel)
     if not (_all_positive(r1) and _all_positive(r2)):
         raise DegenerateGeometryError(
             f"cascade legs must be > 0, got r1={r1!r}, r2={r2!r}")

@@ -36,7 +36,10 @@ Points = Union[Point3, np.ndarray]
 
 
 def _coordinates(p: Points) -> np.ndarray:
-    return np.array((p.x, p.y, p.z)) if isinstance(p, Point3) else np.asarray(p, dtype=float)
+    xyz = np.array((p.x, p.y, p.z)) if isinstance(p, Point3) else np.asarray(p, dtype=float)
+    if xyz.shape[-1:] != (3,):
+        raise InvalidInputError(f"coordinates must have shape (..., 3), got shape {xyz.shape}")
+    return xyz
 
 
 def distance(a: Points, b: Points) -> Length:

@@ -186,6 +186,9 @@ def render_results(results: Iterable[SweepResult], fmt: str) -> str:
 
 def emit_results(results: Iterable[SweepResult], fmt: str, destination: Destination) -> None:
     """Write results to a path or text stream; identical inputs yield identical bytes."""
+    if not isinstance(destination, (str, Path)) and not hasattr(destination, "write"):
+        raise InvalidInputError(
+            f"destination must be a path or a text stream, got {type(destination).__name__}")
     text = render_results(results, fmt)
     if isinstance(destination, (str, Path)):
         Path(destination).write_text(text, encoding="utf-8", newline="\n")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
-from irssim.channel import ChannelParams, _check_type, _read, _real
+from irssim.channel import ChannelParams, _check_type, _positive, _read, _real
 from irssim.errors import InvalidInputError
 from irssim.geometry import Point3
 
@@ -46,7 +46,5 @@ class InterfererSet:
 
 
 def thermal_noise_watts(bandwidth_hz: float) -> float:
-    """k*T*B thermal noise floor for a given bandwidth at the 290 K reference temperature."""
-    if not (bandwidth_hz > 0):
-        raise InvalidInputError(f"bandwidth must be > 0 Hz, got {bandwidth_hz!r}")
-    return BOLTZMANN * REFERENCE_TEMPERATURE_K * bandwidth_hz
+    """k*T*B noise floor at the 290 K reference temperature; bandwidth in Hz, finite and > 0."""
+    return BOLTZMANN * REFERENCE_TEMPERATURE_K * _positive("bandwidth", bandwidth_hz)

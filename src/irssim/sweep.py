@@ -50,7 +50,7 @@ from irssim.channel import (
     FadingModel,
     IrsPanel,
     _check_type,
-    _integer,
+    _count,
     _read,
     _real,
     _seed,
@@ -138,9 +138,7 @@ class SweepSpec:
             raise InvalidInputError(f"sweep start must be < stop, got [{start!r}, {stop!r}]")
         if start <= 0:  # every grid is a set of receiver distances
             raise InvalidInputError(f"sweep start must be > 0, got {start!r}")
-        steps = _integer("sweep steps", self.steps)
-        if steps < 2:
-            raise InvalidInputError(f"sweep steps must be >= 2, got {steps!r}")
+        steps = _count("sweep steps", self.steps, 2)
         # kept as Python numbers, so no numpy scalar reaches the metadata
         for name, value in (("start", start), ("stop", stop), ("steps", steps)):
             object.__setattr__(self, name, value)
@@ -153,10 +151,7 @@ class SweepSpec:
         last = start + (steps - 1) * self._step
         if not math.isfinite(last):
             raise InvalidInputError(f"{grid} leaves the float range: its last point is {last!r}")
-        trials = _integer("trials", self.trials)
-        if trials < 1:
-            raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
-        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "trials", _count("trials", self.trials, 1))
         object.__setattr__(self, "seed", _seed(self.seed))
         # a step below the float spacing rounds neighbouring points together;
         # the grid built here is built again by grid(), but it is one float a
@@ -240,10 +235,12 @@ class _LinkStats(NamedTuple):
     sinr_db_stddev: np.ndarray  # (P,) population stddev of the per-trial SINR in dB
 
 
-def _check_arguments(scenario: Scenario, spec: SweepSpec) -> None:
-    """Reject a ``scenario`` that is not a Scenario or a ``spec`` that is not a SweepSpec."""
+def _check_arguments(scenario: Scenario, spec: SweepSpec, irs_only: str = "") -> None:
+    """Type-check both arguments; ``irs_only`` names an entry point that needs an IRS scenario."""
     _check_type("scenario", scenario, Scenario)
     _check_type("spec", spec, SweepSpec)
+    if irs_only and scenario.irs is None:
+        raise InvalidInputError(f"{irs_only} requires an IRS-assisted scenario")
 
 
 def _as_array(points: Sequence[Point3], name: str = "position") -> np.ndarray:
@@ -504,9 +501,7 @@ def run_angle_sweep(
     change (common random numbers), and the sweep costs about as much as one
     distance sweep. ``angle_pairs`` may be any iterable of two-value pairs.
     """
-    _check_arguments(scenario, spec)
-    if scenario.irs is None:
-        raise InvalidInputError("angle sweeps require an IRS-assisted scenario")
+    _check_arguments(scenario, spec, "an angle sweep")
     pairs = [_read(pair, "angle_pairs entry", 2) for pair in _read(angle_pairs, "angle_pairs")]
     panels = [replace(scenario.panel, theta_t=t, theta_r=r) for t, r in pairs]
     return _sweeps(scenario, spec, panels, [
@@ -533,9 +528,7 @@ def compare_placement(
     scored against identical channel realizations. Either position list may
     be any iterable; it is read once, and the entries keep the given points.
     """
-    _check_arguments(scenario, spec)
-    if scenario.irs is None:
-        raise InvalidInputError("placement comparison requires an IRS-assisted scenario")
+    _check_arguments(scenario, spec, "placement comparison")
     irs_positions = _read(irs_positions, "irs_positions")
     rx_positions = _read(rx_positions, "rx_positions")
     irs = _as_array(irs_positions, "irs_positions entry")

@@ -16,17 +16,20 @@ from irssim import (
     InvalidInputError,
     IrsPanel,
     Point3,
+    SweepResult,
     SweepSpec,
     conventional_rx_power,
     dbm_to_watts,
     distance,
+    emit_results,
     irs_rx_power,
     sample_fading_block,
+    thermal_noise_watts,
     watts_to_dbm,
 )
 from irssim import channel as channel_module
 from irssim.channel import _HASH_BLOCK as BLOCK
-from irssim.channel import _hash_block, _watts_to_dbm_array
+from irssim.channel import _hash_block, _watts_to_dbm_array, ratio_from_db
 from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
 
 
@@ -260,7 +263,7 @@ class TestFading:
         (True, 1, "start_index must be an integer, got True"),
         (0, 2.0, "count must be an integer, got 2.0"),
         (0, False, "count must be an integer, got False"),
-        (0, -1, "count must be >= 0, got -1"),
+        (0, -1, "count must be an integer >= 0, got -1"),
         (-1, 1, "stream indices must lie in [0, 2**64), got start_index=-1 and count=1"),
         (2**64 + 1, 1,
          f"stream indices must lie in [0, 2**64), got start_index={2**64 + 1} and count=1"),
@@ -569,3 +572,30 @@ class TestValidation:
         assert InterfererSet(constant_power=value).constant_power == 2.0
         assert Point3(value, 0.0, 0.0).x == 2.0
         assert SweepSpec(start=value, stop=3.0, steps=2).start == 2.0
+
+    # each used to escape as an AttributeError, TypeError or IndexError, or to
+    # pass an infinite value through, instead of naming the bad argument
+    @pytest.mark.parametrize("call,message", [
+        (lambda: conventional_rx_power(None, 1.0), "params must be a ChannelParams, got NoneType"),
+        (lambda: irs_rx_power(make_params(), None, 1.0, 1.0),
+         "panel must be an IrsPanel, got NoneType"),
+        (lambda: irs_rx_power(None, make_panel(), 1.0, 1.0),
+         "params must be a ChannelParams, got NoneType"),
+        (lambda: sample_fading_block(None, 0, 3), "model must be a FadingModel, got NoneType"),
+        (lambda: dbm_to_watts("a"), "dbm must be a real number, got 'a'"),
+        (lambda: ratio_from_db("a"), "db must be a real number, got 'a'"),
+        (lambda: emit_results([SweepResult("a", "x", ((1.0,),) * 4)], "csv", 5),
+         "destination must be a path or a text stream, got int"),
+        (lambda: distance(None, Point3(0, 0, 0)),
+         "coordinates must have shape (..., 3), got shape ()"),
+        (lambda: watts_to_dbm(math.inf), "power must be finite and > 0, got inf"),
+        (lambda: watts_to_dbm("1"), "power must be a real number, got '1'"),
+        (lambda: thermal_noise_watts(math.inf), "bandwidth must be finite and > 0, got inf"),
+        (lambda: thermal_noise_watts("1"), "bandwidth must be a real number, got '1'"),
+    ], ids=["conventional_params", "irs_panel", "irs_params", "fading_model", "dbm_to_watts",
+            "ratio_from_db", "emit_destination", "distance_shape", "watts_to_dbm_inf",
+            "watts_to_dbm_str", "thermal_noise_inf", "thermal_noise_str"])
+    def test_public_functions_name_a_bad_argument(self, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message

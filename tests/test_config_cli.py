@@ -185,8 +185,11 @@ class TestParseScenario:
          "line: 1 'frequency_hz = 28e9\\n'"),
         ("element_length_m = 0.005", "element_length_m = 0",
          "panel: element_length must be finite and > 0, got 0.0"),
+        # the bandwidth is named, not the noise power computed from it
+        ("noise_dbm = -94", "noise_bandwidth_hz = inf",
+         "channel: bandwidth must be finite and > 0, got inf"),
     ], ids=["no_sweep_section", "two_coordinates", "zero_rx_direction", "no_equals_sign",
-            "no_section_header", "panel_element_length"])
+            "no_section_header", "panel_element_length", "infinite_bandwidth"])
     def test_diagnostic(self, old, new, message):
         assert IRS_CONFIG.count(old) == 1
         with pytest.raises(ConfigError) as caught:

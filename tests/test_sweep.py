@@ -89,17 +89,21 @@ class TestSweepSpec:
         for i, x in enumerate(grid):
             assert x == 5.0 + i * step
 
+    # stop is drawn above start as the larger of two distinct positive values:
+    # a stop drawn on its own fell below start so often that assume() threw away
+    # most examples and hypothesis failed its health check
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-                     st.integers(1, 2 ** 80), st.integers(1, 100)),
-           st.floats(allow_nan=False, allow_infinity=False),
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                              st.integers(1, 2 ** 80), st.integers(1, 100)),
+                    min_size=2, max_size=2, unique=True).map(sorted),
            st.integers(2, 3000))
-    @example(5e-324, 1.7976931348623157e308, 3000)
-    @example(7, 7.000000000000001, 2)
-    def test_grid_is_start_plus_i_step_bit_for_bit(self, start, stop, steps):
+    @example([5e-324, 1.7976931348623157e308], 3000)
+    @example([7, 7.000000000000001], 2)
+    def test_grid_is_start_plus_i_step_bit_for_bit(self, bounds, steps):
         """The grid of a start > 0 is the Python floats start + i*step in IEEE 754
         bytes; a grid whose last (largest) point leaves the float range, or whose
         points do not strictly increase, is rejected."""
+        start, stop = bounds
         assume(start < stop)
         step = (float(stop) - float(start)) / (steps - 1)
         expected = [start + i * step for i in range(steps)]
