@@ -3,18 +3,9 @@
 import types
 
 from irssim.errors import ConfigError, DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, distance
-from irssim.channel import (
-    ChannelParams,
-    FadingModel,
-    IrsPanel,
-    conventional_rx_power,
-    dbm_to_watts,
-    irs_rx_power,
-    sample_fading_block,
-    watts_to_dbm,
-)
-from irssim.sinr import InterfererSet, thermal_noise_watts
+from irssim.geometry import Point3
+from irssim.channel import ChannelParams, FadingModel, IrsPanel
+from irssim.sinr import InterfererSet
 from irssim.sweep import (
     PlacementEntry,
     PlacementReport,
@@ -28,7 +19,7 @@ from irssim.sweep import (
 from irssim.config import PRESET_NAMES, build_preset, parse_scenario
 from irssim.output import emit_results
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # every public name imported above; the import list is the one list of them
 __all__ = [name for name, value in list(globals().items())

@@ -1,9 +1,12 @@
-"""Received-power models, fading draws, and power-unit conversions.
+"""The link's parameter types, and the received-power formulas and fading draws
+that the sweep kernel (:func:`irssim.sweep._evaluate`) calls.
 
 Two downlink models are provided: the direct small-cell link and the
 cascaded link through a passive reflecting panel. Everything here computes
-in SI units (watts, meters, hertz, linear gains); dB and dBm appear only in
-the explicit conversion helpers.
+in SI units (watts, meters, hertz, linear gains); dBm appears only in the
+kernel's report of the received power, ``_watts_to_dbm_array``. The kernel
+checks every leg for zero before a formula sees it, and every gain it draws
+is > 0, so the formulas and the draw function check nothing themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from irssim.errors import DegenerateGeometryError, InvalidInputError
+from irssim.errors import InvalidInputError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -175,11 +178,6 @@ class FadingModel:
             raise InvalidInputError("rayleigh fading requires a seed")
 
 
-def watts_to_dbm(watts: float) -> float:
-    """10*log10(watts / 1 mW) of a power that is finite and > 0 W."""
-    return _watts_to_dbm_array(np.array([_positive("power", watts)], dtype=float)).item()
-
-
 def _watts_to_dbm_array(watts: np.ndarray) -> np.ndarray:
     """10*log10(watts / 1 mW) of each power (every one > 0 W), in a new array.
 
@@ -196,18 +194,6 @@ def _watts_to_dbm_array(watts: np.ndarray) -> np.ndarray:
         dbm[over] = np.fromiter(map(math.log10, watts[over].tolist()), float) + 3.0
     dbm *= 10.0
     return dbm
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return ratio_from_db(_real("dbm", dbm)) * 1e-3
-
-
-def ratio_from_db(db: float) -> float:
-    """10**(db/10) of a real number, or inf where that overflows, so a range check rejects it."""
-    try:
-        return 10.0 ** (_real("db", db) / 10.0)
-    except OverflowError:
-        return math.inf
 
 
 # splitmix64 finalizer; counter-based so (seed, stream_index) fully
@@ -262,9 +248,9 @@ def _hash_block(seed: int, start_index: int, out: np.ndarray, scratch: np.ndarra
     np.copyto(out, scratch.view(np.int64), casting="unsafe")
 
 
-def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
-    """Fading gains for stream indices start_index .. start_index+count-1,
-    which must lie in [0, 2**64).
+def _sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.ndarray:
+    """Fading gains, each > 0, for stream indices start_index ..
+    start_index+count-1: Python ints in [0, 2**64), as the kernel lays them out.
 
     Up to _HASH_BLOCK draws are hashed in one span, with scratch of their own
     length. More are hashed in few, long spans: the first half, up to
@@ -274,13 +260,6 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
     most one _HASH_BLOCK of scratch, and each draw is the same whatever span
     hashes it.
     """
-    _check_type("model", model, FadingModel)
-    start_index = _integer("start_index", start_index)
-    count = _count("count", count, 0)
-    if not (0 <= start_index and start_index + count <= 2 ** 64):
-        raise InvalidInputError(
-            "stream indices must lie in [0, 2**64),"
-            f" got start_index={start_index!r} and count={count!r}")
     if model.mode is FadingMode.DETERMINISTIC:
         return np.ones(count)
     gains = np.empty(count)
@@ -307,11 +286,7 @@ def sample_fading_block(model: FadingModel, start_index: int, count: int) -> np.
     return gains
 
 
-def _all_positive(value: Union[float, np.ndarray]) -> bool:
-    return bool(np.all(np.greater(value, 0)))
-
-
-def conventional_rx_power(
+def _conventional_rx_power(
     params: ChannelParams,
     r: Length,
     fading_gain: Union[float, np.ndarray] = 1.0,
@@ -323,19 +298,13 @@ def conventional_rx_power(
     FRIIS form: identical with lambda squared in the numerator.
     Distances and gains may be arrays; they broadcast elementwise.
     """
-    _check_type("params", params, ChannelParams)
-    _check_type("model", model, ConventionalModel)
-    if not _all_positive(r):
-        raise DegenerateGeometryError(f"link distance must be > 0, got {float(np.min(r))!r}")
-    if not _all_positive(fading_gain):
-        raise InvalidInputError(f"fading gain must be > 0, got {fading_gain!r}")
     lam = params.wavelength
     numerator = lam if model is ConventionalModel.PAPER else lam * lam
     return (numerator * fading_gain * params.tx_power
             / (r ** params.path_loss_exponent * 16.0 * math.pi ** 2))
 
 
-def irs_rx_power(
+def _irs_rx_power(
     params: ChannelParams,
     panel: IrsPanel,
     r1: Length,
@@ -349,11 +318,6 @@ def irs_rx_power(
     r1 (tx to panel) and r2 (panel to rx) may be arrays; they broadcast
     elementwise and give an array of powers.
     """
-    _check_type("params", params, ChannelParams)
-    _check_type("panel", panel, IrsPanel)
-    if not (_all_positive(r1) and _all_positive(r2)):
-        raise DegenerateGeometryError(
-            f"cascade legs must be > 0, got r1={r1!r}, r2={r2!r}")
     lam = params.wavelength
     g = 4.0 * math.pi * panel.element_length * panel.element_width / (lam * lam)
     m = panel.tx_side_elements

@@ -28,13 +28,33 @@ from irssim.channel import (
     FadingMode,
     FadingModel,
     IrsPanel,
-    dbm_to_watts,
-    ratio_from_db,
+    _check_type,
+    _positive,
 )
 from irssim.errors import ConfigError, InvalidInputError
 from irssim.geometry import Point3
-from irssim.sinr import InterfererSet, thermal_noise_watts
+from irssim.sinr import InterfererSet
 from irssim.sweep import Scenario, SweepSpec
+
+_BOLTZMANN = 1.380649e-23  # J/K
+_REFERENCE_TEMPERATURE_K = 290.0
+
+
+def _ratio_from_db(db: float) -> float:
+    """10**(db/10), or inf where that overflows, so a range check rejects it."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _dbm_to_watts(dbm: float) -> float:
+    return _ratio_from_db(dbm) * 1e-3
+
+
+def _thermal_noise_watts(bandwidth_hz: float) -> float:
+    """k*T*B noise floor at the 290 K reference temperature; bandwidth in Hz, finite and > 0."""
+    return _BOLTZMANN * _REFERENCE_TEMPERATURE_K * _positive("bandwidth", bandwidth_hz)
 
 
 class _Kind(NamedTuple):
@@ -139,15 +159,15 @@ def _channel(channel: _Section) -> Tuple[ChannelParams, InterfererSet]:
     try:
         params = ChannelParams(
             carrier_frequency=channel["frequency_hz"],
-            tx_power=dbm_to_watts(channel["tx_power_dbm"]),
+            tx_power=_dbm_to_watts(channel["tx_power_dbm"]),
             path_loss_exponent=channel["path_loss_exponent"],
-            noise_power=(dbm_to_watts(channel["noise_dbm"]) if "noise_dbm" in channel
-                         else thermal_noise_watts(channel["noise_bandwidth_hz"])),
+            noise_power=(_dbm_to_watts(channel["noise_dbm"]) if "noise_dbm" in channel
+                         else _thermal_noise_watts(channel["noise_bandwidth_hz"])),
         )
         interference_dbm = channel["interference_dbm"]
         if not math.isfinite(interference_dbm):  # -inf dBm would run as 0 W
             raise InvalidInputError(f"interference_dbm must be finite, got {interference_dbm!r}")
-        interference = InterfererSet(constant_power=dbm_to_watts(interference_dbm))
+        interference = InterfererSet(constant_power=_dbm_to_watts(interference_dbm))
     except InvalidInputError as exc:
         raise ConfigError(f"channel: {exc}") from None
     return params, interference
@@ -161,8 +181,8 @@ def _panel(panel: _Section) -> IrsPanel:
             tx_side_elements=panel["tx_side_elements"],
             rx_side_elements=panel["rx_side_elements"],
             reflection_coefficient=panel["reflection_coefficient"],
-            tx_gain=ratio_from_db(panel["tx_gain_dbi"]),
-            rx_gain=ratio_from_db(panel["rx_gain_dbi"]),
+            tx_gain=_ratio_from_db(panel["tx_gain_dbi"]),
+            rx_gain=_ratio_from_db(panel["rx_gain_dbi"]),
             theta_t=panel["theta_t"],
             theta_r=panel["theta_r"],
         )
@@ -191,6 +211,7 @@ def parse_scenario(text: str, *, source: str = "<string>") -> Tuple[Scenario, Sw
 
     ``source`` names the document, such as its file path, in syntax diagnostics.
     """
+    _check_type("text", text, str)
     document = _read(text, source)
     channel, geometry, sweep = document["channel"], document["geometry"], document["sweep"]
     params, interference = _channel(channel)
@@ -291,6 +312,7 @@ def _preset_text(name: str) -> str:
 
 def build_preset(name: str) -> Tuple[Scenario, SweepSpec]:
     """Scenario and sweep grid for a named built-in experiment."""
+    _check_type("preset name", name, str)
     scenario, spec = parse_scenario(_preset_text(name), source=f"preset {name}")
     assumptions = _DEFAULT_ASSUMPTIONS + _PRESETS[name][2]
     return dataclasses.replace(scenario, assumptions=assumptions), spec

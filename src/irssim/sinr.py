@@ -1,4 +1,4 @@
-"""The inputs of the SINR denominator: the interferers and the thermal noise floor.
+"""The interferers in the SINR denominator.
 
 The sweep kernel (:mod:`irssim.sweep`) sums the interference power at each
 receiver, with the fading draws of the modeled interferers.
@@ -10,12 +10,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
-from irssim.channel import ChannelParams, _check_type, _positive, _read, _real
+from irssim.channel import ChannelParams, _check_type, _read, _real
 from irssim.errors import InvalidInputError
 from irssim.geometry import Point3
-
-BOLTZMANN = 1.380649e-23  # J/K
-REFERENCE_TEMPERATURE_K = 290.0
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,3 @@ class InterfererSet:
     @classmethod
     def modeled(cls, entries: Iterable[Tuple[ChannelParams, Point3]]) -> "InterfererSet":
         return cls(interferers=entries)
-
-
-def thermal_noise_watts(bandwidth_hz: float) -> float:
-    """k*T*B noise floor at the 290 K reference temperature; bandwidth in Hz, finite and > 0."""
-    return BOLTZMANN * REFERENCE_TEMPERATURE_K * _positive("bandwidth", bandwidth_hz)

@@ -26,7 +26,7 @@ receiver changes from run to run, while each receiver's statistics are a
 pure function of its own draws: the bytes are identical at any worker count,
 and ``taskset -c 0`` runs the pass serially. The draw function allocates a
 chunk's draws and at most one hash block of scratch (see
-:func:`irssim.channel.sample_fading_block`), and they are freed before the
+:func:`irssim.channel._sample_fading_block`), and they are freed before the
 worker draws its next chunk, so a pass holds one chunk and one hash block
 per worker.
 """
@@ -55,12 +55,16 @@ from irssim.channel import (
     _real,
     _seed,
     _watts_to_dbm_array,
-    conventional_rx_power,
-    irs_rx_power,
-    sample_fading_block,
 )
+# bench/tracer.py times the geometry, power and fading layers by wrapping these
+# four names in this module, and binds the draw function's model and
+# start_index by name; so the kernel calls the private functions by them
+from irssim.channel import _conventional_rx_power as conventional_rx_power
+from irssim.channel import _irs_rx_power as irs_rx_power
+from irssim.channel import _sample_fading_block as sample_fading_block
 from irssim.errors import DegenerateGeometryError, InvalidInputError
-from irssim.geometry import Point3, distance
+from irssim.geometry import Point3
+from irssim.geometry import _distance as distance
 from irssim.sinr import InterfererSet
 
 # elements of the (receiver, trial) block of fading draws a worker holds at
@@ -289,20 +293,28 @@ def _evaluate(
     draws seeded by ``seed``, the same draws for every row; deterministic
     fading evaluates one trial, since all are identical.
 
-    Faults are found by array checks, each reporting its first fault in
-    row-major (k, p) order, in this order of kinds: a zero leg or an
-    interferer on receiver p (DegenerateGeometryError, checked before the
-    power formulas see the pair); then a row k whose signal at receiver p is
-    0 W or not finite; then an infinite denominator at receiver p; then,
-    after the fading pass, a mean received power that is 0 W or not finite
-    (InvalidInputError, a link budget outside the float range). A fault of
-    the pair is named ``where(k, p)``, one of receiver p alone ``where(None, p)``.
+    A pass of P*T >= 2**60 draws is an InvalidInputError before anything is
+    computed. Other faults are found by array checks, each reporting its
+    first fault in row-major (k, p) order, in this order of kinds: a zero
+    leg or an interferer on receiver p (DegenerateGeometryError, checked
+    before the power formulas see the pair); then a row k whose signal at
+    receiver p is 0 W or not finite; then an infinite denominator at
+    receiver p; then, after the fading pass, a mean received power that is
+    0 W or not finite (InvalidInputError, a link budget outside the float
+    range). A fault of the pair is named ``where(k, p)``, one of receiver p
+    alone ``where(None, p)``.
     """
     fading = scenario.fading
     if fading.mode is FadingMode.DETERMINISTIC:
         trials = 1
     else:
         fading = replace(fading, seed=seed)
+    # so every chunk of draws is an allocation or a MemoryError, and the
+    # signal indices p*T + t stay below _INTERFERENCE_STREAM_BASE
+    if len(rx) * trials >= 2 ** 60:
+        raise InvalidInputError(
+            f"{len(rx)} receivers x {trials} trials is {len(rx) * trials} fading draws;"
+            " a pass must draw fewer than 2**60")
 
     def check_range(power: np.ndarray, name: str) -> None:
         fault = _first_fault([~((power > 0) & (power < math.inf))])
@@ -314,11 +326,12 @@ def _evaluate(
 
     # a power beyond the float range is reported by check_range, not warned about
     with np.errstate(all="ignore"):
+        tx = _as_array([scenario.tx])
         if irs is None:
-            legs = (distance(scenario.tx, rx)[None, :],)
+            legs = (distance(tx, rx)[None, :],)
             faults = ["link distance must be > 0, got 0.0"]
         else:
-            legs = (distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
+            legs = (distance(tx, irs[:, None, :]), distance(irs[:, None, :], rx))
             faults = ["transmitter and reflector coincide (r1 = 0)",
                       "reflector and receiver coincide (r2 = 0)"]
         interferers = scenario.interference.interferers

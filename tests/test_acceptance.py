@@ -26,19 +26,28 @@ from irssim import (
     SweepSpec,
     build_preset,
     compare_placement,
-    conventional_rx_power,
-    distance,
-    irs_rx_power,
     parse_scenario,
     run_distance_sweep,
-    sample_fading_block,
 )
 from irssim import sweep as sweep_engine
-from irssim.channel import SPEED_OF_LIGHT, ConventionalModel, FadingMode
+from irssim.channel import (
+    SPEED_OF_LIGHT,
+    ConventionalModel,
+    FadingMode,
+    _conventional_rx_power,
+    _irs_rx_power,
+    _sample_fading_block,
+)
+from irssim.geometry import _distance
 
 
 def report(criterion: int, message: str) -> None:
     print(f"PASS criterion {criterion}: {message}")
+
+
+def distance(a, b):
+    """The kernel's distance between two points, as a float."""
+    return _distance(sweep_engine._as_array([a]), sweep_engine._as_array([b])).item()
 
 
 def legs_of(tx, irs, rx):
@@ -97,7 +106,7 @@ def test_criterion_1_formula_oracles():
         params = random_channel(rng)
         r = rng.uniform(0.5, 500.0)
         fading = rng.uniform(0.01, 10.0)
-        got = conventional_rx_power(params, r, fading)
+        got = _conventional_rx_power(params, r, fading)
         assert got == pytest.approx(oracle_conventional_power(params, r, fading), rel=1e-12)
 
         panel = random_panel(rng)
@@ -111,7 +120,7 @@ def test_criterion_1_formula_oracles():
                        * panel.reflection_coefficient ** 2
                        * params.tx_power
                        / (16.0 * math.pi ** 2 * (r1 * r2) ** 2))
-        got_irs = irs_rx_power(params, panel, *legs)
+        got_irs = _irs_rx_power(params, panel, *legs)
         assert got_irs == pytest.approx(oracle_irs_power(params, panel, r1, r2), rel=1e-12)
         assert got_irs == pytest.approx(substituted, rel=1e-12)
     report(1, "both power formulas match independent evaluations on 25 random sets")
@@ -163,11 +172,11 @@ def test_array_kernel_matches_formula_oracles(seed, link_irs, rayleigh, friis, t
             interference = floor + sum(
                 oracle_conventional_power(
                     ip, distance(position, receiver),
-                    float(sample_fading_block(
+                    float(_sample_fading_block(
                         fading, sweep_engine._INTERFERENCE_STREAM_BASE + p * n + j, 1)[0]),
                     model)
                 for j, (ip, position) in enumerate(zip(interferer_params, interferers)))
-            gains = sample_fading_block(fading, p * draws, draws)
+            gains = _sample_fading_block(fading, p * draws, draws)
             powers = [base * float(g) for g in gains]
             sinr_db = [10.0 * math.log10(w / (interference + params.noise_power))
                        for w in powers]
@@ -188,7 +197,7 @@ def test_criterion_2_wavelength_cancellation():
         params = ChannelParams(
             carrier_frequency=f, tx_power=1.0, path_loss_exponent=2.0,
             noise_power=1e-12)
-        values.append(irs_rx_power(params, panel, *legs))
+        values.append(_irs_rx_power(params, panel, *legs))
     assert values[1] == pytest.approx(values[0], rel=1e-12)
     assert values[2] == pytest.approx(values[0], rel=1e-12)
     report(2, "cascaded power is frequency-invariant at 1/3/28 GHz to 1e-12")
@@ -202,7 +211,7 @@ def test_criterion_3_scaling_laws():
         params = ChannelParams(
             carrier_frequency=28e9, tx_power=1.0, path_loss_exponent=alpha,
             noise_power=1e-12)
-        ratio = conventional_rx_power(params, 2 * 7.0) / conventional_rx_power(params, 7.0)
+        ratio = _conventional_rx_power(params, 2 * 7.0) / _conventional_rx_power(params, 7.0)
         assert ratio == pytest.approx(2.0 ** (-alpha), rel=1e-12)
 
     params = ChannelParams(carrier_frequency=28e9, tx_power=1.0,
@@ -211,21 +220,21 @@ def test_criterion_3_scaling_laws():
 
     one = dataclasses.replace(base, tx_side_elements=1, rx_side_elements=1)
     many = dataclasses.replace(base, tx_side_elements=2, rx_side_elements=3)
-    assert irs_rx_power(params, many, *legs) == pytest.approx(
-        36.0 * irs_rx_power(params, one, *legs), rel=1e-12)
+    assert _irs_rx_power(params, many, *legs) == pytest.approx(
+        36.0 * _irs_rx_power(params, one, *legs), rel=1e-12)
 
     low = dataclasses.replace(base, reflection_coefficient=0.45)
     high = dataclasses.replace(base, reflection_coefficient=0.9)
-    assert irs_rx_power(params, high, *legs) == pytest.approx(
-        4.0 * irs_rx_power(params, low, *legs), rel=1e-12)
+    assert _irs_rx_power(params, high, *legs) == pytest.approx(
+        4.0 * _irs_rx_power(params, low, *legs), rel=1e-12)
 
-    p45 = irs_rx_power(params, dataclasses.replace(base, theta_t=45.0, theta_r=45.0), *legs)
-    p60 = irs_rx_power(params, dataclasses.replace(base, theta_t=60.0, theta_r=60.0), *legs)
+    p45 = _irs_rx_power(params, dataclasses.replace(base, theta_t=45.0, theta_r=45.0), *legs)
+    p60 = _irs_rx_power(params, dataclasses.replace(base, theta_t=60.0, theta_r=60.0), *legs)
     gap = 10.0 * math.log10(p45 / p60)
     assert gap == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
     leg_gap = 10.0 * math.log10(
-        irs_rx_power(params, base, *legs2) / irs_rx_power(params, base, *legs))
+        _irs_rx_power(params, base, *legs2) / _irs_rx_power(params, base, *legs))
     # doubling both legs quadruples r1*r2, so power drops 16x (-12.0412 dB)
     assert leg_gap == pytest.approx(-40.0 * math.log10(2.0), abs=1e-9)
     report(3, "r-doubling, element-count, reflection and cosine/leg scaling laws hold")
@@ -268,10 +277,10 @@ def test_criterion_5_fig2_angle_family():
 
 def test_criterion_6_fading_convergence():
     model = FadingModel(mode=FadingMode.RAYLEIGH_EXPONENTIAL, seed=20240824)
-    draws = sample_fading_block(model, 0, 10**6)
+    draws = _sample_fading_block(model, 0, 10**6)
     params = ChannelParams(carrier_frequency=28e9, tx_power=1.0,
                            path_loss_exponent=2.0, noise_power=1e-12)
-    deterministic = conventional_rx_power(params, 30.0)
+    deterministic = _conventional_rx_power(params, 30.0)
     mean_power = float(np.mean(deterministic * draws))
     rel = abs(mean_power / deterministic - 1.0)
     assert rel < 0.01  # expected std. error of the mean is 0.1%
@@ -305,7 +314,7 @@ def test_criterion_8_placement_comparison():
         sinrs = []
         for rx in rx_positions:
             legs = legs_of(scenario.tx, irs, rx)
-            power = irs_rx_power(scenario.channel, scenario.panel, *legs)
+            power = _irs_rx_power(scenario.channel, scenario.panel, *legs)
             sinrs.append(10.0 * math.log10(power / denominator))
         brute.append((irs, min(sinrs), sinrs))
     brute.sort(key=lambda item: item[1], reverse=True)

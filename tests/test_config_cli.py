@@ -27,14 +27,13 @@ from irssim import (
     Scenario,
     SweepSpec,
     build_preset,
-    dbm_to_watts,
     emit_results,
     parse_scenario,
     run_distance_sweep,
-    thermal_noise_watts,
 )
-from irssim.channel import ConventionalModel, FadingMode, ratio_from_db
+from irssim.channel import ConventionalModel, FadingMode
 from irssim import config
+from irssim.config import _dbm_to_watts, _ratio_from_db, _thermal_noise_watts
 from irssim.cli import main
 from irssim.output import CSV_HEADER, render_results
 
@@ -118,9 +117,16 @@ class TestParseScenario:
         assert scenario.irs is None and scenario.panel is None
         assert scenario.channel.tx_power == pytest.approx(1.0, rel=1e-12)
         assert scenario.interference.constant_power == pytest.approx(
-            dbm_to_watts(-100.0), rel=1e-12)
+            _dbm_to_watts(-100.0), rel=1e-12)
         assert scenario.interference.interferers == ()
         assert spec.steps == 20
+
+    # an int used to escape as a TypeError from configparser
+    @pytest.mark.parametrize("text", [5, None, b"[channel]"], ids=["int", "none", "bytes"])
+    def test_text_must_be_a_str(self, text):
+        with pytest.raises(InvalidInputError) as caught:
+            parse_scenario(text)
+        assert str(caught.value) == f"text must be a str, got {type(text).__name__}"
 
     def test_readme_example_parses(self):
         scenario, spec = parse_scenario(readme_config())
@@ -188,8 +194,13 @@ class TestParseScenario:
         # the bandwidth is named, not the noise power computed from it
         ("noise_dbm = -94", "noise_bandwidth_hz = inf",
          "channel: bandwidth must be finite and > 0, got inf"),
+        # a dBm or dBi value is a float before it is converted
+        ("tx_power_dbm = 30", "tx_power_dbm = high",
+         "channel.tx_power_dbm must be a float, got 'high'"),
+        ("tx_gain_dbi = 10", "tx_gain_dbi = 10 dBi", "panel.tx_gain_dbi must be a float, got '10 dBi'"),
     ], ids=["no_sweep_section", "two_coordinates", "zero_rx_direction", "no_equals_sign",
-            "no_section_header", "panel_element_length", "infinite_bandwidth"])
+            "no_section_header", "panel_element_length", "infinite_bandwidth", "dbm_not_a_number",
+            "dbi_not_a_number"])
     def test_diagnostic(self, old, new, message):
         assert IRS_CONFIG.count(old) == 1
         with pytest.raises(ConfigError) as caught:
@@ -352,23 +363,23 @@ def configs(draw):
 
     spec = SweepSpec(start=sweep["start"], stop=sweep["stop"], steps=sweep["steps"],
                      **present(sweep, trials="trials", seed="seed"))
-    noise = (dbm_to_watts(channel["noise_dbm"]) if noise_key == "noise_dbm"
-             else thermal_noise_watts(channel["noise_bandwidth_hz"]))
+    noise = (_dbm_to_watts(channel["noise_dbm"]) if noise_key == "noise_dbm"
+             else _thermal_noise_watts(channel["noise_bandwidth_hz"]))
     scenario = Scenario(
         channel=ChannelParams(carrier_frequency=channel["frequency_hz"],
-                              tx_power=dbm_to_watts(channel["tx_power_dbm"]),
+                              tx_power=_dbm_to_watts(channel["tx_power_dbm"]),
                               path_loss_exponent=channel["path_loss_exponent"],
                               noise_power=noise),
         fading=FadingModel(seed=spec.seed, **present(fading or {}, mode="mode")),
-        interference=InterfererSet(constant_power=dbm_to_watts(channel["interference_dbm"])),
+        interference=InterfererSet(constant_power=_dbm_to_watts(channel["interference_dbm"])),
         tx=Point3(*geometry["tx"]),
         panel=None if panel is None else IrsPanel(
             element_length=panel["element_length_m"], element_width=panel["element_width_m"],
             tx_side_elements=panel["tx_side_elements"],
             rx_side_elements=panel["rx_side_elements"],
             reflection_coefficient=panel["reflection_coefficient"],
-            tx_gain=ratio_from_db(panel["tx_gain_dbi"]),
-            rx_gain=ratio_from_db(panel["rx_gain_dbi"]),
+            tx_gain=_ratio_from_db(panel["tx_gain_dbi"]),
+            rx_gain=_ratio_from_db(panel["rx_gain_dbi"]),
             theta_t=panel["theta_t"], theta_r=panel["theta_r"]),
         irs=None if geometry["irs"] is None else Point3(*geometry["irs"]),
         **present(channel, conventional_model="model"),
@@ -481,10 +492,10 @@ def reference_preset(name):
                          rx_side_elements=100, reflection_coefficient=0.9, tx_gain=10.0,
                          rx_gain=10.0, theta_t=theta_t, theta_r=theta_r)
     scenario = Scenario(
-        channel=ChannelParams(carrier_frequency=28e9, tx_power=dbm_to_watts(30.0),
-                              path_loss_exponent=2.0, noise_power=thermal_noise_watts(100e6)),
+        channel=ChannelParams(carrier_frequency=28e9, tx_power=_dbm_to_watts(30.0),
+                              path_loss_exponent=2.0, noise_power=_thermal_noise_watts(100e6)),
         fading=FadingModel(),
-        interference=InterfererSet(constant_power=dbm_to_watts(-100.0)),
+        interference=InterfererSet(constant_power=_dbm_to_watts(-100.0)),
         tx=Point3(0.0, 0.0, 10.0), panel=panel, irs=irs, label=name,
         assumptions=REFERENCE_ASSUMPTIONS + assumptions,
     )
@@ -533,6 +544,13 @@ class TestPresets:
     def test_assumptions_present(self):
         scenario, _ = build_preset("fig1")
         assert any("cell radius" in note for note in scenario.assumptions)
+
+    # a list used to escape as a TypeError: unhashable type
+    @pytest.mark.parametrize("name", [[], None, 1], ids=["list", "none", "int"])
+    def test_preset_name_must_be_a_str(self, name):
+        with pytest.raises(InvalidInputError) as caught:
+            build_preset(name)
+        assert str(caught.value) == f"preset name must be a str, got {type(name).__name__}"
 
     def test_unknown_preset_named(self):
         with pytest.raises(InvalidInputError) as caught:

@@ -13,14 +13,18 @@ from irssim import (
     InvalidInputError,
     Point3,
     build_preset,
-    distance,
-    irs_rx_power,
 )
 from irssim import sweep
-from irssim.channel import FadingMode
+from irssim.channel import FadingMode, _irs_rx_power
+from irssim.geometry import _distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point3, finite, finite, finite)
+
+
+def distance(a, b):
+    """The kernel's distance between two points, as a float."""
+    return _distance(sweep._as_array([a]), sweep._as_array([b])).item()
 
 
 class TestDistance:
@@ -74,7 +78,7 @@ def kernel_power(tx, irs, rx):
 def formula_power(r1, r2):
     r1, r2 = np.float64(r1), np.float64(r2)  # numpy floats overflow to inf, not to an error
     with np.errstate(all="ignore"):
-        return float(irs_rx_power(SCENARIO.channel, SCENARIO.panel, r1, r2))
+        return float(_irs_rx_power(SCENARIO.channel, SCENARIO.panel, r1, r2))
 
 
 class TestCascadeDistances:

@@ -42,7 +42,6 @@ from irssim import (
     SweepSpec,
     build_preset,
     compare_placement,
-    dbm_to_watts,
 )
 from irssim import sweep
 from irssim.channel import FadingMode
@@ -76,9 +75,9 @@ def sweep_output(args) -> str:
 
 
 def interferer_scenario():
-    """fig2b with Rayleigh fading (seed 7) and two modeled 30 dBm interferers."""
+    """fig2b with Rayleigh fading (seed 7) and two modeled 1 W (30 dBm) interferers."""
     scenario, _ = build_preset("fig2b")
-    interferer = ChannelParams(carrier_frequency=28e9, tx_power=dbm_to_watts(30.0),
+    interferer = ChannelParams(carrier_frequency=28e9, tx_power=1.0,
                                path_loss_exponent=2.0, noise_power=1e-12)
     return dataclasses.replace(
         scenario,

@@ -15,20 +15,16 @@ PUBLIC_NAMES = {
     "ChannelParams", "ConfigError", "DegenerateGeometryError", "FadingModel", "InterfererSet",
     "InvalidInputError", "IrsPanel", "PlacementEntry", "PlacementReport",
     "Point3", "PRESET_NAMES", "Scenario", "SweepResult", "SweepSpec",
-    "build_preset", "compare_placement",
-    "conventional_rx_power", "dbm_to_watts", "distance", "emit_results", "irs_rx_power",
-    "parse_scenario", "run_angle_sweep",
-    "run_distance_sweep", "sample_fading_block", "thermal_noise_watts", "watts_to_dbm",
+    "build_preset", "compare_placement", "emit_results", "parse_scenario", "run_angle_sweep",
+    "run_distance_sweep",
 }
 
-# public classes and functions defined in each model module
+# public classes and functions defined in each model module; the link formulas,
+# the fading draws and the distances are the kernel's own, and private
 DEFINED = {
-    irssim.geometry: {"Point3", "distance"},
-    irssim.channel: {
-        "FadingMode", "ConventionalModel", "ChannelParams", "IrsPanel", "FadingModel",
-        "watts_to_dbm", "dbm_to_watts", "ratio_from_db", "sample_fading_block",
-        "conventional_rx_power", "irs_rx_power"},
-    irssim.sinr: {"InterfererSet", "thermal_noise_watts"},
+    irssim.geometry: {"Point3"},
+    irssim.channel: {"FadingMode", "ConventionalModel", "ChannelParams", "IrsPanel", "FadingModel"},
+    irssim.sinr: {"InterfererSet"},
 }
 
 FIELDS = {
@@ -77,4 +73,3 @@ def test_value_types_have_no_public_methods(cls):
 def test_sinr_attribute_is_the_submodule():
     assert inspect.ismodule(irssim.sinr)
     assert irssim.sinr.InterfererSet is irssim.InterfererSet
-    assert irssim.sinr.thermal_noise_watts is irssim.thermal_noise_watts

@@ -12,11 +12,10 @@ from irssim import (
     InvalidInputError,
     Point3,
     Scenario,
-    conventional_rx_power,
-    thermal_noise_watts,
 )
 from irssim import sweep
-from irssim.channel import FadingMode
+from irssim.channel import FadingMode, _conventional_rx_power
+from irssim.config import _thermal_noise_watts
 
 
 def make_params():
@@ -76,7 +75,7 @@ class TestAggregateInterference:
         params = make_params()
         interferer_set = InterfererSet.modeled([(params, Point3(0, 25, 0))])
         assert interference_at(interferer_set) == pytest.approx(
-            conventional_rx_power(params, 25.0), rel=1e-12)
+            _conventional_rx_power(params, 25.0), rel=1e-12)
 
     def test_any_iterable_of_pairs_is_read_once_and_hashes(self):
         # the checks used to run a generator to its end and store it empty
@@ -99,7 +98,7 @@ class TestAggregateInterference:
         interferer_set = InterfererSet(constant_power=1e-11,
                                        interferers=((params, Point3(0, 25, 0)),))
         assert interference_at(interferer_set) == pytest.approx(
-            1e-11 + conventional_rx_power(params, 25.0), rel=1e-12)
+            1e-11 + _conventional_rx_power(params, 25.0), rel=1e-12)
 
     def test_constant_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError):
@@ -146,9 +145,9 @@ class TestAggregateInterference:
 class TestThermalNoise:
     def test_ktb_reference(self):
         # k * 290 K * 100 MHz
-        assert thermal_noise_watts(100e6) == pytest.approx(
+        assert _thermal_noise_watts(100e6) == pytest.approx(
             1.380649e-23 * 290.0 * 100e6, rel=1e-15)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(InvalidInputError):
-            thermal_noise_watts(0.0)
+            _thermal_noise_watts(0.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import math
 import operator
 import sys
@@ -25,14 +26,23 @@ from irssim import (
     SweepSpec,
     build_preset,
     compare_placement,
-    distance,
-    irs_rx_power,
     run_angle_sweep,
     run_distance_sweep,
 )
 from irssim import sweep as sweep_module
-from irssim.channel import FadingMode
+from irssim.channel import (
+    FadingMode,
+    _conventional_rx_power,
+    _irs_rx_power,
+    _watts_to_dbm_array,
+)
+from irssim.geometry import _distance
 from irssim.output import render_results
+
+
+def distance(a, b):
+    """The kernel's distance between two points, as a float."""
+    return _distance(sweep_module._as_array([a]), sweep_module._as_array([b])).item()
 
 
 def make_channel(alpha=2.0):
@@ -290,6 +300,23 @@ class TestDistanceSweep:
         _, _, sinr_db, _ = result.columns
         gap = sinr_db[1] - sinr_db[0]
         assert gap == pytest.approx(-2.0 * 10.0 * math.log10(2.0), abs=1e-9)
+
+    def test_rx_power_is_the_formula_to_the_bit(self):
+        def dbm(watts):
+            return _watts_to_dbm_array(np.array([watts])).item()
+
+        # the cascaded link of fig2b at its first grid point, 5 m along +x from the surface
+        scenario, spec = build_preset("fig2b")
+        tx, irs = scenario.tx, scenario.irs
+        rx = Point3(irs.x + spec.grid()[0], irs.y, irs.z)
+        power = _irs_rx_power(scenario.channel, scenario.panel, distance(tx, irs), distance(irs, rx))
+        assert dbm(power) == run_distance_sweep(scenario, spec).columns[1][0]
+        # the direct link of fig1 at its last grid point, 100 m along +x from the transmitter
+        scenario, spec = build_preset("fig1")
+        tx = scenario.tx
+        rx = Point3(tx.x + spec.grid()[-1], tx.y, tx.z)
+        power = _conventional_rx_power(scenario.channel, distance(tx, rx), 1.0)
+        assert dbm(power) == run_distance_sweep(scenario, spec).columns[1][-1]
 
     def test_rows_sorted_and_counted(self):
         spec = SweepSpec(start=5.0, stop=100.0, steps=20)
@@ -581,8 +608,9 @@ class TestSharedFading:
         unit = sweep_module._evaluate(
             dataclasses.replace(scenario, fading=FadingModel(mode=FadingMode.DETERMINISTIC)),
             irs, rx, 40, 3, where=lambda k, p: "")
-        signal = irs_rx_power(scenario.channel, scenario.panel,
-                              distance(scenario.tx, irs[:, None, :]), distance(irs[:, None, :], rx))
+        tx = sweep_module._as_array([scenario.tx])
+        signal = _irs_rx_power(scenario.channel, scenario.panel,
+                               _distance(tx, irs[:, None, :]), _distance(irs[:, None, :], rx))
         assert unit.power.tobytes() == signal.tobytes()
         signal_db = 10.0 * np.log10(signal)
         assert np.ptp(signal_db, axis=0).min() > 1.0  # the positions differ
@@ -751,8 +779,8 @@ class TestComparePlacement:
         def brute_min_sinr(irs):
             worst = math.inf
             for rx in rx_positions:
-                power = irs_rx_power(scenario.channel, scenario.panel,
-                                     distance(scenario.tx, irs), distance(irs, rx))
+                power = _irs_rx_power(scenario.channel, scenario.panel,
+                                      distance(scenario.tx, irs), distance(irs, rx))
                 ratio = power / (scenario.interference.constant_power
                                  + scenario.channel.noise_power)
                 worst = min(worst, 10.0 * math.log10(ratio))
@@ -863,8 +891,10 @@ class TestComparePlacement:
         scenario = dataclasses.replace(
             irs_scenario(), channel=dataclasses.replace(make_channel(), tx_power=1e-314))
         rx_positions = [Point3(float(x), 0.0, 1.5) for x in (52, 55, 400, 60, 900)]
-        signal = irs_rx_power(scenario.channel, scenario.panel, distance(scenario.tx, scenario.irs),
-                              distance(scenario.irs, sweep_module._as_array(rx_positions)))
+        signal = _irs_rx_power(scenario.channel, scenario.panel,
+                               distance(scenario.tx, scenario.irs),
+                               _distance(sweep_module._as_array([scenario.irs]),
+                                         sweep_module._as_array(rx_positions)))
         assert signal[0] > 0 and signal[1] > 0 and signal[2] == 0
         with pytest.raises(InvalidInputError,
                            match=r"rx=Point3\(x=400\.0.* 0\.0 W is outside the float range"):
@@ -902,7 +932,7 @@ def overflowing_mean_power_sweep():
     Rayleigh trial at x=7 lifts the mean power beyond the float range."""
     scenario, spec = build_preset("fig2b")
     channel = dataclasses.replace(scenario.channel, tx_power=1e300)
-    unit_power = irs_rx_power(channel, scenario.panel, distance(scenario.tx, scenario.irs), 5.0)
+    unit_power = _irs_rx_power(channel, scenario.panel, distance(scenario.tx, scenario.irs), 5.0)
     scenario = dataclasses.replace(
         scenario, channel=channel,
         panel=dataclasses.replace(scenario.panel,
@@ -1020,7 +1050,7 @@ class TestFaults:
 
         def counting_distance(a, b):
             calls.append((a, b))
-            return distance(a, b)
+            return _distance(a, b)
 
         monkeypatch.setattr(sweep_module, "distance", counting_distance)
         receivers = [Point3(-90.0 + 5.0 * p, 20.0, 1.5) for p in range(36)]
@@ -1073,6 +1103,42 @@ class TestFaults:
         assert str(caught.value) == message
 
 
+    # a pass draws P*T values from stream index 0: 2**60 or more is rejected
+    # before anything is drawn, so no chunk is too big to ask for and the
+    # signal indices stay below the interferer draws at 2**62
+    @pytest.mark.parametrize("run,message", [
+        (lambda: run_distance_sweep(
+            conventional_scenario(fading=FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=1)),
+            SweepSpec(start=1.0, stop=2.0, steps=2, trials=2**59)),
+         "2 receivers x 576460752303423488 trials is 1152921504606846976 fading draws;"
+         " a pass must draw fewer than 2**60"),
+        (lambda: compare_placement(
+            dataclasses.replace(irs_scenario(fading=FadingModel(
+                FadingMode.RAYLEIGH_EXPONENTIAL, seed=1)), interference=two_interferers()),
+            [Point3(20, 0, 10)], [Point3(60, 5, 1.5)] * 3,
+            SweepSpec(start=1.0, stop=2.0, steps=2, trials=2**62)),
+         "3 receivers x 4611686018427387904 trials is 13835058055282163712 fading draws;"
+         " a pass must draw fewer than 2**60"),
+    ], ids=["sweep", "placement"])
+    def test_a_pass_of_2_to_the_60_draws_is_rejected(self, run, message):
+        with pytest.raises(InvalidInputError) as caught:
+            run()
+        assert str(caught.value) == message
+
+    def test_a_pass_below_2_to_the_60_draws_is_attempted(self):
+        # its one chunk of 2**60 - 1 draws is too big for any host
+        scenario = conventional_scenario(fading=FadingModel(FadingMode.RAYLEIGH_EXPONENTIAL, seed=1))
+        with pytest.raises(MemoryError):
+            sweep_module._evaluate(scenario, None, sweep_module._as_array([Point3(5, 0, 10)]),
+                                   2**60 - 1, 1, where=lambda k, p: "")
+
+    def test_deterministic_fading_draws_one_trial_at_any_count(self):
+        result = run_distance_sweep(conventional_scenario(),
+                                    SweepSpec(start=1.0, stop=2.0, steps=2, trials=2**62))
+        assert result.columns == run_distance_sweep(
+            conventional_scenario(), SweepSpec(start=1.0, stop=2.0, steps=2)).columns
+
+
 TRACED = ("distance", "irs_rx_power", "conventional_rx_power", "sample_fading_block")
 
 
@@ -1088,8 +1154,9 @@ TRACED = ("distance", "irs_rx_power", "conventional_rx_power", "sample_fading_bl
 ], ids=["rayleigh_irs_sweep", "conventional_sweep", "placement_two_interferers"])
 def test_calls_the_tracer_counts(monkeypatch, run, expected):
     """bench/tracer.py counts the geometry, power and fading layers by replacing
-    these ``irssim.sweep`` attributes, so the kernel looks each up when it calls
-    it. One kernel call makes one ``distance`` call per leg plus one for the
+    these ``irssim.sweep`` attributes, the names under which the module imports
+    the private distance, power and draw functions; so the kernel looks each
+    up when it calls it. One kernel call makes one ``distance`` call per leg plus one for the
     interferer reach (with no interferers too), one power call for the signal
     rows and one per modeled interferer, and one draw call per fading chunk plus
     one for the interferer gains. A local alias would make a layer read 0."""
@@ -1106,3 +1173,11 @@ def test_calls_the_tracer_counts(monkeypatch, run, expected):
     # 10 receivers x 50 trials fit one fading chunk
     run(SweepSpec(start=5.0, stop=95.0, steps=10, trials=50, seed=2))
     assert tuple(calls.values()) == expected
+
+
+def test_draw_parameters_are_the_names_the_tracer_binds():
+    """bench/tracer.py binds the draw function's ``model`` and ``start_index``
+    by name to record each range of draws; under other names it records none,
+    and its useful_ratio reads 0."""
+    parameters = inspect.signature(sweep_module.sample_fading_block).parameters
+    assert list(parameters) == ["model", "start_index", "count"]
